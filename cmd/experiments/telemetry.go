@@ -2,116 +2,32 @@ package main
 
 import (
 	"io"
-	"os"
-	"path/filepath"
-	"sync"
-	"time"
 
 	"intellinoc/internal/harness"
 	"intellinoc/internal/telemetry"
 )
 
-// telemetryTap aggregates finished harness records into a metrics registry
-// and a Chrome-trace job timeline. It is the suite's RunOptions.Observer;
-// all methods are safe for concurrent use from worker goroutines.
+// telemetryTap is the suite's telemetry.JobTap: observe is the suite's
+// RunOptions.Observer, serve backs -telemetry-addr and writeDir
+// -telemetry-dir.
 type telemetryTap struct {
-	reg   *telemetry.Registry
-	start time.Time
-
-	jobs     *telemetry.Counter
-	pretrain *telemetry.Counter
-	retried  *telemetry.Counter
-	wallMS   *telemetry.Histogram
-
-	mu    sync.Mutex
-	spans []telemetry.Span
+	observe  func(harness.Record)
+	serve    func(addr string, errlog io.Writer) (*telemetry.OpsServer, error)
+	writeDir func(dir string) error
 }
 
 func newTelemetryTap() *telemetryTap {
-	reg := telemetry.NewRegistry()
-	return &telemetryTap{
-		reg:      reg,
-		start:    time.Now(),
-		jobs:     reg.Counter("experiments_jobs_completed_total", "Finished harness jobs (all kinds)."),
-		pretrain: reg.Counter("experiments_pretrain_jobs_total", "Finished policy pre-training jobs."),
-		retried:  reg.Counter("experiments_job_retries_total", "Extra attempts beyond the first, summed over jobs."),
-		wallMS: reg.Histogram("experiments_job_wall_ms", "Per-job wall time in milliseconds.",
-			[]float64{10, 100, 500, 1000, 5000, 15000, 60000, 300000}),
-	}
-}
-
-// observe consumes one finished harness record.
-func (t *telemetryTap) observe(rec harness.Record) {
-	t.jobs.Inc()
-	if rec.Kind == "pretrain" {
-		t.pretrain.Inc()
-	}
-	if rec.Attempts > 1 {
-		t.retried.Add(uint64(rec.Attempts - 1))
-	}
-	t.wallMS.Observe(rec.WallMS)
-
-	// Timeline span: the record carries only its duration, so the start is
-	// reconstructed from the observation time. 1 µs of trace time = 1 µs of
-	// wall time here (the harness timeline is real time, not sim cycles).
-	endUS := float64(time.Since(t.start).Microseconds())
-	t.mu.Lock()
-	t.spans = append(t.spans, telemetry.Span{
-		Name:     rec.Name,
-		Start:    endUS - rec.WallMS*1000,
-		Duration: rec.WallMS * 1000,
-		Args:     map[string]any{"kind": rec.Kind, "digest": rec.Digest, "attempts": rec.Attempts},
+	t := telemetry.NewJobTap(telemetry.JobTapSpec{
+		Expvar:   "experiments",
+		Process:  "experiment harness",
+		Category: "job",
+		Jobs:     telemetry.Metric{Name: "experiments_jobs_completed_total", Help: "Finished harness jobs (all kinds)."},
+		Kinds: map[string]telemetry.Metric{
+			"pretrain": {Name: "experiments_pretrain_jobs_total", Help: "Finished policy pre-training jobs."},
+		},
+		Retries: telemetry.Metric{Name: "experiments_job_retries_total", Help: "Extra attempts beyond the first, summed over jobs."},
+		Wall:    telemetry.Metric{Name: "experiments_job_wall_ms", Help: "Per-job wall time in milliseconds."},
+		Buckets: []float64{10, 100, 500, 1000, 5000, 15000, 60000, 300000},
 	})
-	t.mu.Unlock()
-}
-
-// writeDir snapshots the tap into dir: metrics.prom (Prometheus text) and
-// timeline.json (Chrome trace of the job schedule, lanes packed greedily).
-func (t *telemetryTap) writeDir(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	mf, err := os.Create(filepath.Join(dir, "metrics.prom"))
-	if err != nil {
-		return err
-	}
-	if err := t.reg.WritePrometheus(mf); err != nil {
-		mf.Close()
-		return err
-	}
-	if err := mf.Close(); err != nil {
-		return err
-	}
-
-	tr := telemetry.NewTrace()
-	tr.SetProcessName(1, "experiment harness")
-	t.mu.Lock()
-	spans := make([]telemetry.Span, len(t.spans))
-	copy(spans, t.spans)
-	t.mu.Unlock()
-	tr.AddSpans(1, "job", spans)
-	tf, err := os.Create(filepath.Join(dir, "timeline.json"))
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteJSON(tf); err != nil {
-		tf.Close()
-		return err
-	}
-	return tf.Close()
-}
-
-// serve exposes the tap over HTTP while the suite runs: the registry's
-// Prometheus snapshot at /metrics, expvar at /debug/vars, and the pprof
-// profiling endpoints (telemetry.OpsHandler — the same surface
-// cmd/intellinocd mounts). The returned server carries the Shutdown hook
-// the caller must invoke when the suite completes, so neither the
-// listener nor the serve goroutine (nor a late write to errlog) outlives
-// the run. addr may use port 0; the bound address is in the result.
-func (t *telemetryTap) serve(addr string, errlog io.Writer) (*telemetry.OpsServer, error) {
-	// Expvar publication is scoped per name and rebinds on re-publish,
-	// so a second tap in the same process serves its own (fresh) values
-	// instead of the first tap's abandoned registry.
-	t.reg.PublishExpvar("experiments")
-	return telemetry.ServeOps(addr, telemetry.OpsHandler(t.reg), errlog)
+	return &telemetryTap{observe: t.Observe, serve: t.Serve, writeDir: t.WriteDir}
 }

@@ -14,6 +14,7 @@ import (
 	"intellinoc/internal/experiments"
 	"intellinoc/internal/explore"
 	"intellinoc/internal/harness"
+	"intellinoc/internal/telemetry"
 	"intellinoc/internal/traffic"
 )
 
@@ -222,11 +223,20 @@ func run(ctx context.Context, o options, stdout, stderr io.Writer) error {
 	if o.progress {
 		progress = stderr
 	}
-	var tap *telemetryTap
+	// The tap sees executed evaluations only; it never feeds back into
+	// results, so the frontier report is byte-identical with or without it.
+	var tap *telemetry.JobTap
 	var observer func(harness.Record)
 	if o.telemetryDir != "" {
-		tap = newTelemetryTap()
-		observer = tap.observe
+		tap = telemetry.NewJobTap(telemetry.JobTapSpec{
+			Process:  "explore harness",
+			Category: "evaluation",
+			Jobs:     telemetry.Metric{Name: "explore_evaluations_total", Help: "Executed design-point evaluations (cache hits excluded)."},
+			Retries:  telemetry.Metric{Name: "explore_job_retries_total", Help: "Extra attempts beyond the first, summed over jobs."},
+			Wall:     telemetry.Metric{Name: "explore_job_wall_ms", Help: "Per-evaluation wall time in milliseconds."},
+			Buckets:  []float64{10, 100, 500, 1000, 5000, 15000, 60000},
+		})
+		observer = tap.Observe
 	}
 
 	e, err := explore.New(lat, explore.Options{
@@ -307,7 +317,7 @@ func run(ctx context.Context, o options, stdout, stderr io.Writer) error {
 		}
 	}
 	if tap != nil {
-		if err := tap.writeDir(o.telemetryDir); err != nil {
+		if err := tap.WriteDir(o.telemetryDir); err != nil {
 			return fmt.Errorf("writing telemetry: %w", err)
 		}
 	}

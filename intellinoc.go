@@ -56,11 +56,6 @@ func ParseTechnique(s string) (Technique, error) { return core.ParseTechnique(s)
 // paper's Table 1 setup on an 8×8 mesh.
 type SimConfig = core.SimConfig
 
-// SampledWindows configures the opt-in, non-bit-exact sampled-simulation
-// mode (SimConfig.SampledWindows): detailed windows alternate with
-// statistical fast-forwards for interactive exploration on huge meshes.
-type SampledWindows = noc.SampledWindows
-
 // Result carries every metric a run produces: execution time, latency,
 // energy, retransmissions, operation-mode breakdown, MTTF, temperatures.
 type Result = noc.Result

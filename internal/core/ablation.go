@@ -79,7 +79,6 @@ func RunAblation(ab Ablation, sim SimConfig, gen traffic.Generator, policy *Poli
 	cfg.DependencyWindow = sim.DependencyWindow
 	cfg.ControlFaultRate = sim.ControlFaultRate
 	cfg.Shards = sim.Shards
-	cfg.SampledWindows = sim.SampledWindows
 	sim.applyMicroarch(&cfg)
 
 	var inner noc.Controller

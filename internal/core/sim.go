@@ -72,15 +72,6 @@ type SimConfig struct {
 	// excluded from JSON: experiment-spec digests, golden results, and
 	// harness dedup must not distinguish runs by execution strategy.
 	Shards int `json:"-"`
-
-	// SampledWindows enables noc's opt-in sampled-simulation mode
-	// (detailed windows alternating with statistical fast-forwards; see
-	// noc.SampledWindows for the model and its caveats). Unlike Shards,
-	// this field changes results, so it MUST stay JSON-visible: an
-	// experiment-spec digest has to distinguish a sampled run from an
-	// exact one. Golden-digest suites refuse configurations that set it
-	// (see experiments.NewSuite).
-	SampledWindows *noc.SampledWindows `json:"sampled_windows,omitempty"`
 }
 
 // withDefaults fills in unset fields.
@@ -211,7 +202,6 @@ func PretrainTechnique(tech Technique, sim SimConfig, epochs, packetsPerEpoch in
 	cfg.DependencyWindow = sim.DependencyWindow
 	cfg.ControlFaultRate = sim.ControlFaultRate
 	cfg.Shards = sim.Shards
-	cfg.SampledWindows = sim.SampledWindows
 	sim.applyMicroarch(&cfg)
 
 	var ctrl *RLController

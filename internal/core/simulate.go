@@ -103,7 +103,6 @@ func Simulate(ctx context.Context, tech Technique, sim SimConfig, gen traffic.Ge
 	cfg.DependencyWindow = sim.DependencyWindow
 	cfg.ControlFaultRate = sim.ControlFaultRate
 	cfg.Shards = sim.Shards
-	cfg.SampledWindows = sim.SampledWindows
 	sim.applyMicroarch(&cfg)
 
 	ctrl, initial := controllerFor(tech, sim, cfg, o.policy)

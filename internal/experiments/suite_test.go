@@ -1,13 +1,15 @@
 package experiments
 
 import (
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"intellinoc/internal/core"
-	"intellinoc/internal/noc"
+	"intellinoc/internal/harness"
 )
 
 func tinySuite(t *testing.T, only ...string) *Suite {
@@ -34,18 +36,6 @@ func renderAll(figs []Figure) string {
 		b.WriteString("\n")
 	}
 	return b.String()
-}
-
-// TestNewSuiteRejectsSampledWindows: golden digests and cross-run
-// comparisons assume exact cycle-level simulation, so the approximate
-// sampled-window mode must be refused at suite construction.
-func TestNewSuiteRejectsSampledWindows(t *testing.T) {
-	_, err := NewSuite(SuiteOptions{
-		Sim: core.SimConfig{SampledWindows: &noc.SampledWindows{DetailCycles: 1000, SkipCycles: 10000}},
-	})
-	if err == nil || !strings.Contains(err.Error(), "sampled") {
-		t.Fatalf("want a sampled-windows refusal, got %v", err)
-	}
 }
 
 func TestNewSuiteRejectsUnknownIDs(t *testing.T) {
@@ -111,8 +101,8 @@ func TestSuiteResumeIsByteIdentical(t *testing.T) {
 	}
 
 	// Simulate a kill mid-sweep: drop the last two records and leave a
-	// partial trailing line. The kept prefix holds the pretrain records
-	// (streamed first) plus some of the runs.
+	// partial trailing line. The kept prefix holds some of the runs; a
+	// policy those runs need may or may not be in it.
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -163,6 +153,94 @@ func TestSuiteResumeIsByteIdentical(t *testing.T) {
 	}
 	if got := renderAll(again.Figures); got != want {
 		t.Fatal("fully-cached resume report differs")
+	}
+}
+
+// TestSuiteRunWaitsForItsPolicy checks the pretrain→run dependency in
+// the shared pool: in the results stream, every run that needs a policy
+// comes after that policy's pretrain record, at any worker count.
+func TestSuiteRunWaitsForItsPolicy(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
+			s := tinySuite(t, "fig17a")
+			policyOf := make(map[string]string) // run digest -> policy digest
+			for _, ex := range s.Experiments {
+				for _, ls := range ex.Specs {
+					if p := ls.Spec.Policy; p != nil {
+						policyOf[ls.Spec.Digest()] = p.Digest()
+					}
+				}
+			}
+			if len(policyOf) == 0 {
+				t.Fatal("fig17a plan has no policy-dependent runs")
+			}
+			path := filepath.Join(t.TempDir(), "results.jsonl")
+			if _, err := s.Run(RunOptions{Workers: workers, ResultsPath: path}); err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pretrained := make(map[string]bool)
+			checked := 0
+			for i, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+				var rec harness.Record
+				if err := json.Unmarshal([]byte(line), &rec); err != nil {
+					t.Fatalf("line %d: %v", i+1, err)
+				}
+				switch rec.Kind {
+				case "pretrain":
+					pretrained[rec.Digest] = true
+				case "run":
+					if p, ok := policyOf[rec.Digest]; ok {
+						if !pretrained[p] {
+							t.Fatalf("line %d: run %s precedes its policy's pretrain record %s", i+1, rec.Name, p[:8])
+						}
+						checked++
+					}
+				}
+			}
+			if checked != len(policyOf) {
+				t.Fatalf("stream holds %d of %d policy-dependent runs", checked, len(policyOf))
+			}
+		})
+	}
+}
+
+// TestSuiteFailedPretrainFailsSuite: a pretrain job that fails fails the
+// suite with its own error, and the run waiting on that policy is never
+// submitted.
+func TestSuiteFailedPretrainFailsSuite(t *testing.T) {
+	s := tinySuite(t, "fig17a")
+	var bad LabeledSpec
+	for _, ls := range s.Experiments[0].Specs {
+		if ls.Spec.Policy != nil {
+			bad = ls
+			break
+		}
+	}
+	pol := *bad.Spec.Policy
+	pol.Tech = core.TechSECDED.String() // no RL agents: training fails
+	bad.Spec.Policy = &pol
+	s.Experiments = []Experiment{{
+		IDs: []string{"fig17a"}, Specs: []LabeledSpec{bad},
+		Assemble: func(Lookup) ([]Figure, error) {
+			t.Error("figures assembled after a failed pretrain")
+			return nil, nil
+		},
+	}}
+	path := filepath.Join(t.TempDir(), "results.jsonl")
+	_, err := s.Run(RunOptions{Workers: 2, ResultsPath: path})
+	if err == nil || !strings.Contains(err.Error(), "pretrain/") || !strings.Contains(err.Error(), "no RL agents") {
+		t.Fatalf("want the pretrain job's own error, got %v", err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) != 0 {
+		t.Fatalf("stream holds records after a failed pretrain:\n%s", data)
 	}
 }
 

@@ -14,10 +14,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"runtime"
 	"runtime/debug"
 	"sort"
-	"sync"
 	"time"
 )
 
@@ -34,11 +32,11 @@ type Job struct {
 	// Seed records the job's PRNG seed in the results stream.
 	Seed int64
 	// Priority orders dispatch: higher-priority jobs are executed first
-	// (ties keep submission order). Run sorts its batch once; Pool keeps
-	// a live priority queue, so a high-priority submission jumps ahead
-	// of queued lower-priority work (e.g. a successive-halving promotion
-	// preempting fresh grid points). Priority never affects results —
-	// only the order work leaves the queue.
+	// (ties keep submission order). Pool keeps a live priority queue, so
+	// a high-priority submission jumps ahead of queued lower-priority
+	// work (e.g. a successive-halving promotion preempting fresh grid
+	// points). Priority never affects results — only the order work
+	// leaves the queue.
 	Priority int
 	// Run produces the job's JSON-marshalable payload.
 	Run func() (any, error)
@@ -55,7 +53,7 @@ type Record struct {
 	Payload  json.RawMessage `json:"payload"`
 }
 
-// Options configures a Run call.
+// Options configures a Pool, and Run, which drives one.
 type Options struct {
 	// Workers bounds pool size; <=0 selects GOMAXPROCS.
 	Workers int
@@ -93,133 +91,44 @@ type Options struct {
 
 const defaultRetries = 1
 
-// Run executes jobs (deduplicated by digest) and returns the payloads
-// keyed by digest. On the first job that exhausts its retries the pool
-// stops dispatching, drains in-flight work, and returns that error;
-// already-finished records remain in the stream, so a rerun resumes past
-// them. The returned map is complete only when err is nil.
+// Run executes a batch of jobs on a fail-fast Pool and returns the
+// payloads keyed by digest. Jobs are submitted highest-Priority-first
+// (a stable sort, so ties keep their order), and the pool does the rest:
+// digest dedup, Lookup hits, progress, streaming. The first job that
+// exhausts its retries cancels the pool: dispatch stops, in-flight work
+// drains, and Run returns that job's error. Canceling Options.Ctx does
+// the same with an error wrapping ctx.Err(). Records finished before
+// either stay in the stream, so a rerun resumes past them. The returned
+// map is complete only when err is nil.
 func Run(jobs []Job, opts Options) (map[string]json.RawMessage, error) {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	retries := opts.Retries
-	if retries == 0 {
-		retries = defaultRetries
-	} else if retries < 0 {
-		retries = 0
-	}
-
-	unique := make([]Job, 0, len(jobs))
-	seen := make(map[string]bool, len(jobs))
-	dedup := 0
-	cachedOut := make(map[string]json.RawMessage)
 	for _, j := range jobs {
 		if j.Digest == "" {
 			return nil, fmt.Errorf("harness: job %q has no digest", j.Name)
 		}
-		if seen[j.Digest] {
-			dedup++
-			continue
-		}
-		seen[j.Digest] = true
-		if opts.Lookup != nil {
-			if rec, ok := opts.Lookup(j.Digest); ok {
-				cachedOut[j.Digest] = rec.Payload
-				dedup++
-				continue
-			}
-		}
-		unique = append(unique, j)
 	}
-	// Higher priority first; sort.SliceStable keeps submission order on
-	// ties, so a priority-free batch runs exactly as before.
-	sort.SliceStable(unique, func(i, k int) bool { return unique[i].Priority > unique[k].Priority })
-	if opts.Progress != nil {
-		opts.Progress.begin(len(unique), workers)
-		if n := dedup + opts.CachedJobs; n > 0 {
-			opts.Progress.jobCached(n)
-		}
-	}
+	sorted := append([]Job(nil), jobs...)
+	sort.SliceStable(sorted, func(i, k int) bool { return sorted[i].Priority > sorted[k].Priority })
 
-	var (
-		mu       sync.Mutex
-		firstErr error
-		out      = cachedOut
-		abort    = make(chan struct{})
-		closed   bool
-	)
-	fail := func(err error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		if !closed {
-			closed = true
-			close(abort)
-		}
+	p := newPool(opts, true)
+	futs := make([]*Future, len(sorted))
+	for i, j := range sorted {
+		futs[i] = p.Submit(j)
 	}
-
-	if opts.Ctx != nil {
-		watcherDone := make(chan struct{})
-		defer close(watcherDone)
-		go func() {
-			select {
-			case <-opts.Ctx.Done():
-				fail(fmt.Errorf("harness: run canceled: %w", opts.Ctx.Err()))
-			case <-watcherDone:
+	p.Close()
+	out := make(map[string]json.RawMessage, len(futs))
+	for i, f := range futs {
+		rec, err := f.Wait()
+		if err != nil {
+			// Report what canceled the pool — the first failure — not
+			// the cancellation it caused in the jobs queued behind it.
+			p.mu.Lock()
+			if p.canceled != nil {
+				err = p.canceled
 			}
-		}()
-	}
-
-	feed := make(chan Job)
-	go func() {
-		defer close(feed)
-		for _, j := range unique {
-			select {
-			case feed <- j:
-			case <-abort:
-				return
-			}
+			p.mu.Unlock()
+			return nil, err
 		}
-	}()
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range feed {
-				rec, err := execute(j, retries, opts.Ctx)
-				if err != nil {
-					fail(err)
-					continue
-				}
-				if opts.Stream != nil {
-					if err := opts.Stream.Write(rec); err != nil {
-						fail(fmt.Errorf("harness: streaming %s: %w", j.Name, err))
-						continue
-					}
-				}
-				if opts.Observer != nil {
-					opts.Observer(rec)
-				}
-				mu.Lock()
-				out[j.Digest] = rec.Payload
-				mu.Unlock()
-				if opts.Progress != nil {
-					opts.Progress.jobDone(time.Duration(rec.WallMS * float64(time.Millisecond)))
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if opts.Progress != nil {
-		opts.Progress.finish()
-	}
-	if firstErr != nil {
-		return nil, firstErr
+		out[sorted[i].Digest] = rec.Payload
 	}
 	return out, nil
 }

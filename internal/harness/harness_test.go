@@ -105,6 +105,10 @@ func TestPersistentPanicFailsWithJobName(t *testing.T) {
 	}
 }
 
+// TestErrorStopsDispatchButKeepsFinishedRecords pins Run's fail-fast
+// rule: on one worker, the job queued behind the failure never starts,
+// Run reports the failing job's own error rather than the cancellation
+// it caused, and the record finished before it stays in the stream.
 func TestErrorStopsDispatchButKeepsFinishedRecords(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "res.jsonl")
@@ -112,15 +116,26 @@ func TestErrorStopsDispatchButKeepsFinishedRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var afterRan atomic.Bool
 	jobs := []Job{
 		{Digest: "ok", Name: "ok", Run: func() (any, error) { return payload{Value: 1}, nil }},
 		{Digest: "boom", Name: "boom", Run: func() (any, error) {
 			return nil, fmt.Errorf("deliberate")
 		}},
+		{Digest: "after", Name: "after", Run: func() (any, error) {
+			afterRan.Store(true)
+			return payload{Value: 3}, nil
+		}},
 	}
 	_, err = Run(jobs, Options{Workers: 1, Retries: 0, Stream: w})
 	if err == nil {
 		t.Fatal("want error")
+	}
+	if !strings.Contains(err.Error(), "boom") || strings.Contains(err.Error(), "canceled") {
+		t.Fatalf("error should be the failing job's own, got %v", err)
+	}
+	if afterRan.Load() {
+		t.Fatal("a job queued behind the failure was dispatched")
 	}
 	w.Close()
 	recs, skipped, err := LoadRecords(path)

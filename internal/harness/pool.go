@@ -8,23 +8,26 @@ import (
 	"time"
 )
 
-// Pool is the incremental sibling of Run: a persistent worker pool that
-// accepts jobs one at a time, dedups them by digest while in flight,
-// serves Options.Lookup cache hits without executing, and dispatches
-// pending work highest-Priority-first. It exists for search drivers
-// (cmd/explore) that decide what to evaluate next based on earlier
-// results: a promotion submitted mid-run jumps ahead of queued
-// lower-priority points instead of waiting behind them.
+// Pool is the harness's one job executor: a persistent worker pool that
+// accepts jobs one at a time, dedups them by digest, serves
+// Options.Lookup cache hits without executing, and dispatches pending
+// work highest-Priority-first. Search drivers (cmd/explore) decide what
+// to evaluate next from earlier results, so a promotion submitted mid-run
+// jumps ahead of queued lower-priority points; the experiment suite
+// submits each run once the future of the policy it needs resolves; Run
+// is a batch Submit/Wait over it.
 //
-// Unlike Run, a job failure is confined to its Future — the pool keeps
-// executing other work, because a search treats a failed point as
-// infeasible rather than fatal. Context cancellation (Options.Ctx) still
-// stops everything: queued jobs fail with the context error and workers
-// exit after their in-flight job drains.
+// A job failure is confined to its Future — the pool keeps executing
+// other work, because a search treats a failed point as infeasible
+// rather than fatal. Run's pool is the exception: it is fail-fast, and
+// the first failure cancels it. Context cancellation (Options.Ctx) stops
+// everything: queued jobs fail with the context error and workers exit
+// after their in-flight job drains.
 type Pool struct {
-	opts    Options
-	workers int
-	retries int
+	opts     Options
+	workers  int
+	retries  int
+	failFast bool // a job failure cancels the pool (Run's contract)
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -91,7 +94,9 @@ func (q *poolQueue) popItem() *poolItem { return heap.Pop(q).(*poolItem) }
 
 // NewPool starts the workers and begins progress accounting. Close must
 // be called to stop them; futures from Submit resolve independently.
-func NewPool(opts Options) *Pool {
+func NewPool(opts Options) *Pool { return newPool(opts, false) }
+
+func newPool(opts Options, failFast bool) *Pool {
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -103,7 +108,7 @@ func NewPool(opts Options) *Pool {
 		retries = 0
 	}
 	p := &Pool{
-		opts: opts, workers: workers, retries: retries,
+		opts: opts, workers: workers, retries: retries, failFast: failFast,
 		seen: make(map[string]*Future),
 		stop: make(chan struct{}),
 	}
@@ -224,9 +229,8 @@ func (p *Pool) Close() {
 	}
 }
 
-// worker pops the highest-priority pending job, executes it with the
-// same retry/panic isolation as Run, streams the record, and resolves
-// the future.
+// worker pops the highest-priority pending job, executes it with retry
+// and panic isolation, streams the record, and resolves the future.
 func (p *Pool) worker() {
 	defer p.wg.Done()
 	for {
@@ -246,6 +250,7 @@ func (p *Pool) worker() {
 		// start new work under a canceled context.
 		if p.opts.Ctx != nil && p.opts.Ctx.Err() != nil {
 			it.fut.err = fmt.Errorf("harness: pool canceled: %w", p.opts.Ctx.Err())
+			p.cancel(it.fut.err)
 			close(it.fut.done)
 			continue
 		}
@@ -260,6 +265,9 @@ func (p *Pool) worker() {
 			p.opts.Observer(rec)
 		}
 		it.fut.rec, it.fut.err = rec, err
+		if err != nil && p.failFast {
+			p.cancel(err)
+		}
 		close(it.fut.done)
 		if p.opts.Progress != nil {
 			p.opts.Progress.jobDone(time.Duration(rec.WallMS * float64(time.Millisecond)))

@@ -51,8 +51,7 @@ func (p *Progress) begin(total, workers int) {
 	p.lastLine = time.Time{}
 }
 
-// jobAdded grows the executable-job total (Pool submissions arrive
-// incrementally, unlike Run's static batch).
+// jobAdded grows the executable-job total as Pool submissions arrive.
 func (p *Progress) jobAdded(n int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

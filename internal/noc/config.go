@@ -105,15 +105,6 @@ type Config struct {
 	// goroutines; call Close when done with it.
 	Shards int
 
-	// SampledWindows, when non-nil, trades bit-exactness for speed:
-	// detailed windows alternate with statistical fast-forwards that
-	// deliver due packets in closed form (see the type's doc comment for
-	// the model and its caveats). Runs remain deterministic under a
-	// fixed seed, but results are approximations — the knob must stay
-	// visible in serialized configs and experiment-spec digests, and
-	// golden-digest suites refuse to run with it set.
-	SampledWindows *SampledWindows
-
 	// DisableIdleFastForward forces the simulator to step quiescent
 	// stretches cycle by cycle instead of jumping to the next event. The
 	// fast-forward is exact — results are bit-identical either way (the
@@ -166,9 +157,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("noc: negative retry bound")
 	case c.Shards < 0:
 		return fmt.Errorf("noc: negative shard count")
-	case c.SampledWindows != nil && (c.SampledWindows.DetailCycles <= 0 || c.SampledWindows.SkipCycles <= 0):
-		return fmt.Errorf("noc: sampled windows need positive detail/skip cycle counts, got %d/%d",
-			c.SampledWindows.DetailCycles, c.SampledWindows.SkipCycles)
 	}
 	topo, err := NewTopology(c)
 	if err != nil {

@@ -295,11 +295,6 @@ func (s *Server) validateSpec(spec experiments.RunSpec) error {
 	if spec.Sim.MaxCycles < 0 {
 		return fmt.Errorf("max_cycles must be non-negative")
 	}
-	if spec.Sim.SampledWindows != nil {
-		// Sampled-window results are approximate; caching them under a
-		// content digest would poison every future exact lookup.
-		return fmt.Errorf("sampled-window simulation is not allowed in the service (results are approximate; unset sim.sampled_windows)")
-	}
 	switch spec.Workload.Kind {
 	case experiments.WorkloadParsec, experiments.WorkloadSynthetic:
 	default:
@@ -310,7 +305,7 @@ func (s *Server) validateSpec(spec experiments.RunSpec) error {
 			// Warm-started tables depend on whatever the zoo holds at
 			// training time, so the result is not a pure function of the
 			// spec; caching it under a content digest would poison every
-			// future exact lookup (same reasoning as sampled windows).
+			// future exact lookup.
 			return fmt.Errorf("warm-started pre-training is not allowed in the service (results depend on zoo contents; unset policy.warm_start)")
 		}
 		if err := p.Validate(); err != nil {

