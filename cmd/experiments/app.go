@@ -54,7 +54,7 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 	fs.BoolVar(&o.progress, "progress", true, "print live progress (jobs done/total, ETA, utilization) to stderr")
 	fs.StringVar(&o.telemetryDir, "telemetry-dir", "", "write a metrics.prom snapshot and a timeline.json Chrome trace of the job schedule to this directory")
 	fs.StringVar(&o.telemetryAddr, "telemetry-addr", "", "serve /metrics, /debug/vars, and /debug/pprof on this address while the suite runs (e.g. localhost:6060)")
-	fs.IntVar(&o.shards, "shards", 0, "step each simulated mesh with this many parallel shards (bit-identical results and digests; 0 = sequential)")
+	fs.IntVar(&o.shards, "shards", 0, "step each simulated mesh with this many parallel shards (bit-identical results and digests; 0 or 1 = one inline shard)")
 	fs.StringVar(&o.topology, "topology", "", "fabric family for every run: mesh (default), torus, chiplet[:WxH], routerless (changes results and digests)")
 	fs.StringVar(&o.policyZoo, "policy-zoo", "", "policy zoo directory: reuse pre-trained Q-tables across invocations, keyed by policy-spec digest (bit-identical results; empty = train in-process)")
 	fs.StringVar(&o.dumpSpecs, "dump-specs", "", "write the suite's unique run specs as JSONL ({name,digest,spec} per line) to this path and exit without simulating — feeds cmd/intellinocd clients")

@@ -23,8 +23,8 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
-	"runtime/pprof"
+
+	"intellinoc/internal/telemetry"
 )
 
 // divergences records where this reproduction's shapes knowingly differ
@@ -77,35 +77,16 @@ func main() {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(2)
 	}
-	if o.cpuprofile != "" {
-		f, err := os.Create(o.cpuprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
+	stopProfiles, err := telemetry.StartProfiles(o.cpuprofile, o.memprofile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(1)
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
 	err = run(ctx, o, os.Stdout, os.Stderr)
-	if o.memprofile != "" {
-		if mf, merr := os.Create(o.memprofile); merr != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", merr)
-		} else {
-			runtime.GC() // flush garbage so the profile shows live steady state
-			if perr := pprof.WriteHeapProfile(mf); perr != nil {
-				fmt.Fprintln(os.Stderr, "experiments:", perr)
-			}
-			mf.Close()
-		}
-	}
+	stop()
+	// Stop the profiles before os.Exit, which skips deferred calls.
+	err = errors.Join(err, stopProfiles())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)

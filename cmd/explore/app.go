@@ -95,7 +95,7 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 	fs.Float64Var(&o.qosThroughput, "qos-throughput", 0, "QoS bound: min delivered flits per cycle (0 = off)")
 
 	fs.IntVar(&o.workers, "workers", runtime.GOMAXPROCS(0), "parallel simulations")
-	fs.IntVar(&o.shards, "shards", 0, "step each mesh with this many parallel shards (digest-neutral; 0 = sequential)")
+	fs.IntVar(&o.shards, "shards", 0, "step each mesh with this many parallel shards (digest-neutral; 0 or 1 = one inline shard)")
 	fs.StringVar(&o.results, "results", "", "stream finished evaluations to this JSONL file (enables resume and cmd/regress)")
 	fs.BoolVar(&o.resume, "resume", false, "skip evaluations already recorded in -results and append the rest")
 	fs.BoolVar(&o.progress, "progress", true, "print live progress to stderr")

@@ -15,8 +15,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
-	"runtime/pprof"
 
 	"intellinoc"
 	"intellinoc/internal/experiments"
@@ -50,38 +48,22 @@ func main() {
 		heatmap       = flag.Bool("heatmap", false, "print the die temperature grid")
 		chromeTrace   = flag.String("chrome-trace", "", "write a Chrome trace-event JSON timeline of the run to this file (load in Perfetto or chrome://tracing)")
 		traceFlits    = flag.Bool("trace-flits", false, "include per-flit instants in -chrome-trace output (large)")
-		shards        = flag.Int("shards", 0, "step the mesh with this many parallel shards (bit-identical results; 0 = sequential)")
+		shards        = flag.Int("shards", 0, "step the mesh with this many parallel shards (bit-identical results; 0 or 1 = one inline shard)")
 		cpuprofile    = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 		memprofile    = flag.String("memprofile", "", "write a heap profile taken after the run to this file")
 	)
 	flag.Parse()
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
+	profiles, err := telemetry.StartProfiles(*cpuprofile, *memprofile)
+	if err != nil {
+		fatal(err)
+	}
+	stopProfiles = profiles
+	defer func() {
+		if err := stopProfiles(); err != nil {
 			fatal(err)
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
-	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fatal(err)
-			}
-			runtime.GC() // flush garbage so the profile shows live steady state
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fatal(err)
-			}
-			f.Close()
-		}()
-	}
+	}()
 
 	technique, err := intellinoc.ParseTechnique(*tech)
 	if err != nil {
@@ -292,7 +274,14 @@ func buildWorkload(benchmark, pattern, traceFile string, rate float64, packets i
 	}
 }
 
+// stopProfiles ends the -cpuprofile/-memprofile profiles; fatal runs it
+// because os.Exit skips deferred calls.
+var stopProfiles = func() error { return nil }
+
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "intellinoc:", err)
+	if perr := stopProfiles(); perr != nil {
+		fmt.Fprintln(os.Stderr, "intellinoc:", perr)
+	}
 	os.Exit(1)
 }

@@ -71,7 +71,7 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 	fs.StringVar(&o.policyZoo, "policy-zoo", "", "policy zoo directory: persist pre-trained Q-tables across restarts, keyed by policy-spec digest (empty = in-memory only)")
 	fs.IntVar(&o.workers, "workers", runtime.GOMAXPROCS(0), "parallel simulations")
 	fs.IntVar(&o.retries, "retries", 0, "per-job retry count (0 = harness default, negative disables)")
-	fs.IntVar(&o.shards, "shards", 0, "step each simulated mesh with this many parallel shards (digest-neutral; 0 = sequential)")
+	fs.IntVar(&o.shards, "shards", 0, "step each simulated mesh with this many parallel shards (digest-neutral; 0 or 1 = one inline shard)")
 	fs.IntVar(&o.priority, "priority", 0, "default per-client job priority")
 	fs.Float64Var(&o.rate, "rate", 0, "default per-client token-bucket rate, specs/second (0 = unlimited)")
 	fs.Float64Var(&o.burst, "burst", 0, "default per-client token-bucket burst (0 = max(rate, 1))")

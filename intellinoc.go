@@ -82,7 +82,8 @@ type Workload = traffic.Generator
 type Packet = traffic.Packet
 
 // Option customizes one Simulate call. The constructors are WithPolicy,
-// WithRouterSummaries, WithObserver, and WithShards.
+// WithRouterSummaries, and WithObserver. Parallel stepping is
+// SimConfig.Shards.
 type Option = core.RunOption
 
 // Observer is anything that attaches telemetry to a network before the
@@ -106,19 +107,14 @@ func WithRouterSummaries() Option { return core.WithRouterSummaries() }
 // exporter, metrics bridge) to the run. May be repeated.
 func WithObserver(o Observer) Option { return core.WithObserver(o) }
 
-// WithShards steps the mesh with n parallel shards. Results are
-// bit-identical at any shard count — the knob trades goroutines for
-// wall-clock only; 0 or 1 selects the sequential stepper.
-func WithShards(n int) Option { return core.WithShards(n) }
-
 // Simulate runs one technique over one workload. It replaces the
 // Run/RunDetailed pair: a nil ctx (or context.Background()) runs to
 // completion; a cancelable ctx stops the run early and returns the
 // partial Result together with an error wrapping ctx.Err().
 //
 //	out, err := intellinoc.Simulate(ctx, intellinoc.TechIntelliNoC,
-//	    intellinoc.SimConfig{}, gen,
-//	    intellinoc.WithRouterSummaries(), intellinoc.WithShards(4))
+//	    intellinoc.SimConfig{Shards: 4}, gen,
+//	    intellinoc.WithRouterSummaries())
 func Simulate(ctx context.Context, tech Technique, sim SimConfig, gen Workload, opts ...Option) (RunOutput, error) {
 	return core.Simulate(ctx, tech, sim, gen, opts...)
 }

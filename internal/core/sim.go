@@ -67,7 +67,7 @@ type SimConfig struct {
 	BufDepthOverride int `json:"buf_depth_override,omitempty"`
 
 	// Shards steps each network with this many parallel shards (see
-	// noc.Config.Shards); 0 or 1 is the sequential stepper. Results are
+	// noc.Config.Shards); 0 or 1 is one shard, stepped inline. Results are
 	// bit-identical at any shard count, which is why the field is
 	// excluded from JSON: experiment-spec digests, golden results, and
 	// harness dedup must not distinguish runs by execution strategy.

@@ -27,8 +27,6 @@ type runOptions struct {
 	summaries  bool
 	observers  []Observer
 	instrument func(*noc.Network, noc.Controller)
-	shards     int
-	hasShards  bool
 }
 
 // WithPolicy deploys a pre-trained policy (TechIntelliNoC only; nil is
@@ -62,13 +60,6 @@ func WithInstrument(fn func(*noc.Network, noc.Controller)) RunOption {
 	return func(o *runOptions) { o.instrument = fn }
 }
 
-// WithShards steps the mesh with n parallel shards (see
-// noc.Config.Shards). Results are bit-identical at any shard count; 0
-// or 1 selects the sequential stepper. Overrides SimConfig.Shards.
-func WithShards(n int) RunOption {
-	return func(o *runOptions) { o.shards = n; o.hasShards = true }
-}
-
 // RunOutput is everything a Simulate call produces. Routers is nil
 // unless WithRouterSummaries was given.
 type RunOutput struct {
@@ -91,9 +82,6 @@ func Simulate(ctx context.Context, tech Technique, sim SimConfig, gen traffic.Ge
 		}
 	}
 	sim = sim.withDefaults()
-	if o.hasShards {
-		sim.Shards = o.shards
-	}
 	cfg := tech.NetworkConfig(sim.Width, sim.Height)
 	cfg.TimeStepCycles = sim.TimeStepCycles
 	cfg.BaseErrorRate = sim.BaseErrorRate

@@ -53,19 +53,22 @@ func TestSimulateOptionCombinations(t *testing.T) {
 	cases := []struct {
 		name        string
 		opts        []RunOption
+		shards      int
 		wantRouters bool
 	}{
-		{"none", nil, false},
-		{"summaries", []RunOption{WithRouterSummaries()}, true},
-		{"shards", []RunOption{WithShards(4)}, false},
-		{"nil-policy", []RunOption{WithPolicy(nil)}, false},
-		{"all", []RunOption{WithPolicy(nil), WithRouterSummaries(), WithShards(3)}, true},
+		{"none", nil, 0, false},
+		{"summaries", []RunOption{WithRouterSummaries()}, 0, true},
+		{"shards", nil, 4, false},
+		{"nil-policy", []RunOption{WithPolicy(nil)}, 0, false},
+		{"all", []RunOption{WithPolicy(nil), WithRouterSummaries()}, 3, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			obs := &attachCounter{}
 			opts := append([]RunOption{WithObserver(obs)}, tc.opts...)
-			out, err := Simulate(nil, TechSECDED, sim, simulateGen(t, sim, packets), opts...)
+			tsim := sim
+			tsim.Shards = tc.shards
+			out, err := Simulate(nil, TechSECDED, tsim, simulateGen(t, tsim, packets), opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -126,7 +129,7 @@ func countGoroutines() int {
 	return runtime.NumGoroutine()
 }
 
-// TestSimulateCancellation cancels runs at random cycles — sequential
+// TestSimulateCancellation cancels runs at random cycles — single-shard
 // and sharded — and checks three things: the error wraps
 // context.Canceled, the partial Result is plausible (cycle count near
 // the cancellation point), and no goroutines leak (the sharded worker
@@ -142,8 +145,9 @@ func TestSimulateCancellation(t *testing.T) {
 			cancelAt := int64(500 + rng.Intn(4000))
 			ctx, cancel := context.WithCancel(context.Background())
 			fired := false
-			out, err := Simulate(ctx, TechCP, sim, simulateGen(t, sim, 50_000),
-				WithShards(shards),
+			ssim := sim
+			ssim.Shards = shards
+			out, err := Simulate(ctx, TechCP, ssim, simulateGen(t, ssim, 50_000),
 				WithInstrument(func(n *noc.Network, _ noc.Controller) {
 					n.SetEventHook(func(e noc.Event) {
 						if e.Cycle >= cancelAt && !fired {
@@ -189,11 +193,13 @@ func TestSimulateShardsAllTechniques(t *testing.T) {
 	const packets = 500
 	for _, tech := range Techniques() {
 		t.Run(tech.String(), func(t *testing.T) {
-			seq, err := Simulate(nil, tech, sim, simulateGen(t, sim, packets), WithShards(1))
+			one, four := sim, sim
+			one.Shards, four.Shards = 1, 4
+			seq, err := Simulate(nil, tech, one, simulateGen(t, one, packets))
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, err := Simulate(nil, tech, sim, simulateGen(t, sim, packets), WithShards(4))
+			par, err := Simulate(nil, tech, four, simulateGen(t, four, packets))
 			if err != nil {
 				t.Fatal(err)
 			}

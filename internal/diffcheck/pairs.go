@@ -79,7 +79,7 @@ func checkFF(seed int64) *Finding {
 
 // checkShards verifies the sharded stepper's headline claim: a mesh
 // stepped by the worker pool (noc.Config.Shards > 1) must match the
-// sequential stepper on every fingerprinted state word at every step
+// inline single-shard run on every fingerprinted state word at every step
 // boundary — commit ordering, PRNG draw order, and FP accumulation
 // included. The shard count is derived from the seed so the campaign
 // covers uneven router/shard splits as well as the CI-gated count of 4.

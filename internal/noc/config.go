@@ -95,14 +95,14 @@ type Config struct {
 	// ECC codecs on every hop. Slower; used by tests and examples.
 	VerifyPayloads bool
 
-	// Shards > 1 steps the mesh with a bounded worker pool: each shard (a
-	// row block of routers with their channels and NICs) scans its routers
-	// in parallel, and the cross-router commits run in router-index order
-	// at a per-cycle barrier (see shard.go). Results, fingerprints, and
-	// event streams are bit-identical to the sequential path at any shard
-	// count — the knob trades goroutines for wall-clock only. 0 or 1
-	// selects the plain sequential stepper. A sharded Network owns worker
-	// goroutines; call Close when done with it.
+	// Shards is the number of contiguous router-id ranges the step driver
+	// scans in parallel (see shard.go); the cross-router commits run in
+	// router-index order between the phases. 0 and 1 both mean one shard,
+	// stepped inline on the calling goroutine; more shards (capped at the
+	// router count) step on a bounded worker pool. Results, fingerprints,
+	// and event streams are bit-identical at any shard count — the knob
+	// trades goroutines for wall-clock only. A multi-shard Network owns
+	// worker goroutines; call Close when done with it.
 	Shards int
 
 	// DisableIdleFastForward forces the simulator to step quiescent

@@ -83,9 +83,9 @@ func (e Event) String() string {
 
 // SetEventHook installs a callback invoked for every simulator event. Pass
 // nil to disable. The hook runs synchronously on the stepping goroutine —
-// never concurrently, even on a sharded run (Config.Shards > 1), where
-// shards buffer their events and the commit phase replays them from the
-// coordinator in the exact sequential-stepper order. Hook consumers
+// never concurrently, even on a sharded run (Config.Shards > 1): shards
+// buffer their events and the coordinator replays them in one fixed
+// order, the same at every shard count. Hook consumers
 // (recorder, tracer) may therefore stay unsynchronized. Keep the hook
 // cheap (or buffer). Intended for debugging and visualization of small
 // runs — a busy 8×8 mesh emits millions of events.

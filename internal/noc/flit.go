@@ -74,8 +74,8 @@ const (
 // NumModes is the size of the action space.
 const NumModes = 5
 
-// maxVCs bounds the virtual channels per port (sizes the allocator's
-// fixed scratch arrays; Table 1 designs use at most 4).
+// maxVCs bounds the virtual channels per port (keeps a switch-allocator
+// slot index, port×VCs+VC, within a byte; Table 1 designs use at most 4).
 const maxVCs = 8
 
 // String names the mode.

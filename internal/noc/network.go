@@ -174,19 +174,16 @@ type Network struct {
 	// arms the idle fast-forward.
 	bufferedFlits int
 
-	// shardCount > 0 selects the sharded two-phase stepper (see shard.go);
-	// pool holds its lazily started worker goroutines.
-	shardCount int
-	pool       *shardPool
+	// pool partitions the routers into the step driver's shards (see
+	// shard.go) and holds the lazily started worker goroutines of a
+	// multi-shard network.
+	pool *shardPool
 
 	// rcDraws banks one control-fault PRNG draw per qualifying (router,
 	// port, VC) slot for the current tick, filled by the coordinator in
 	// router order so the parallel VA+RC phase can consume the stream
-	// without reordering it; rcPredrawn marks the bank valid. Flat
-	// layout: (id*NumPorts+p)*cfg.VCs+v. Sequential stepping never banks
-	// (rcStage draws inline).
-	rcDraws    []float64
-	rcPredrawn bool
+	// without reordering it. Flat layout: (id*NumPorts+p)*cfg.VCs+v.
+	rcDraws []float64
 
 	powersBuf []float64 // thermalStep scratch
 
@@ -274,15 +271,11 @@ func New(cfg Config, gen traffic.Generator, ctrl Controller) (*Network, error) {
 	if bc, ok := ctrl.(BufferController); ok {
 		n.bufCtrl = bc
 	}
-	if cfg.Shards > 1 {
-		// Shards partition the dense router-id space into contiguous
-		// ranges (geometry-free — see shard.go); more shards than nodes
-		// would leave workers with nothing to scan.
-		if sc := min(cfg.Shards, nodes); sc > 1 {
-			n.shardCount = sc
-		}
-	}
 	n.buildTopology()
+	// Shards partition the dense router-id space into contiguous ranges
+	// (geometry-free — see shard.go); more shards than nodes would leave
+	// workers with nothing to scan.
+	n.pool = newShardPool(n, max(1, min(cfg.Shards, nodes)))
 	n.refreshLinkRates()
 	for i := 0; i < nodes; i++ {
 		n.meters[i] = power.NewMeter(pp, cfg.routerPowerConfig())
@@ -410,18 +403,18 @@ func (n *Network) FlitsDelivered() uint64 { return n.flitsDelivered }
 func (n *Network) Step() { n.step(1 << 62) }
 
 // step is Step bounded so the fast-forward never jumps past maxCycles
-// (RunUntilDrained's truncation point).
+// (RunUntilDrained's truncation point). It is the one cycle driver: three
+// parallel per-router phases (see shard.go) around the order-sensitive
+// sequential work, run inline on a single-shard network.
 func (n *Network) step(maxCycles int64) {
-	if n.shardCount > 0 {
-		n.stepSharded(maxCycles)
-		return
-	}
+	sp := n.pool
 	cy := n.cycle
 
-	// 0. Idle fast-forward: with no buffered flits anywhere, the network
-	// can only be waiting — on a channel flit's readyAt, a future
-	// workload packet, a wake/gate countdown, or a thermal/control
-	// boundary. Jump straight there.
+	// Idle fast-forward: with no buffered flits anywhere, the network can
+	// only be waiting — on a channel flit's readyAt, a future workload
+	// packet, a wake/gate countdown, or a thermal/control boundary. Jump
+	// straight there. bufferedFlits only changes at commit points, so zero
+	// here means every shard reported idle at the last barrier.
 	if n.bufferedFlits == 0 && !n.cfg.DisableIdleFastForward {
 		if k := n.idleSpan(); k > 1 {
 			if lim := maxCycles - cy; k > lim {
@@ -434,60 +427,80 @@ func (n *Network) step(maxCycles int64) {
 		}
 	}
 
-	// 1. Admit workload packets due this cycle into the NIC queues.
+	// Admission: packet ids and NIC queue order are order-sensitive.
 	n.admitStep(cy)
 
-	// 2. Power-state maintenance. Without power gating or bypass no
-	// router can ever gate or wake, so the whole pass is a no-op.
-	if n.cfg.PowerGating || n.cfg.Bypass {
-		for _, r := range n.routers {
-			n.powerStateStep(r, cy, nil)
+	if len(sp.slots) > 1 && sp.workers == nil {
+		sp.start()
+	}
+	sp.cy = cy
+
+	// Phase A: power-state maintenance, channel deliveries into active
+	// routers, and the switch-allocation candidate build. A mode-0 router
+	// keeps its pipeline fully operational until its buffers happen to
+	// drain — refusing deliveries to force a drain would let two adjacent
+	// mode-0 routers deadlock waiting on each other's credits. Then commit
+	// the counter deltas and flush the buffered events in shard (= router)
+	// order: all gate/wake events first, then all deliveries.
+	sp.runPhase(phaseScan)
+	for _, slot := range sp.slots {
+		n.bufferedFlits += slot.buffered
+		slot.buffered = 0
+		if slot.progress {
+			n.lastProgress = cy
+			slot.progress = false
+		}
+	}
+	if n.eventHook != nil {
+		for _, slot := range sp.slots {
+			for i := range slot.gateEvents {
+				n.eventHook(slot.gateEvents[i])
+			}
+			slot.gateEvents = slot.gateEvents[:0]
+		}
+		for _, slot := range sp.slots {
+			for i := range slot.deliverEvents {
+				n.eventHook(slot.deliverEvents[i])
+			}
+			slot.deliverEvents = slot.deliverEvents[:0]
 		}
 	}
 
-	// 3. Channel deliveries into router buffers (active routers). A
-	// mode-0 router keeps its pipeline fully operational until its
-	// buffers happen to drain — refusing deliveries to force a drain
-	// would let two adjacent mode-0 routers deadlock waiting on each
-	// other's credits.
-	for id, r := range n.routers {
-		if n.active(id) {
-			n.deliverChannels(r, cy, nil)
-		}
-	}
-
-	// 4. Router pipelines (or bypass switches). A router whose input
-	// buffers are empty has nothing for RC/VA/SA to do — skip its
-	// port×VC scans outright.
+	// Ordered commit: bypass switches and switch arbitration with
+	// traversal/ejection, in router-index order. This is where the
+	// same-cycle credit chain, the link-fault PRNG draws, and the power
+	// meter accumulation happen. A router whose input buffers were empty
+	// built no candidates and is skipped outright.
 	for id, r := range n.routers {
 		switch {
 		case n.rGated[id] && n.cfg.Bypass:
 			n.bypassStep(r, cy)
-		case n.active(id) && n.rBufCount[id] > 0:
-			n.saStage(r, cy)
-			n.vaStage(r, cy)
-			n.rcStage(r, cy, nil)
+		case sp.hasCand[id]:
+			sp.hasCand[id] = false
+			n.saCommit(r, cy, sp.routerCand(id), &sp.candN[id])
 		}
 	}
 
-	// 5. NIC injection into active routers (gated mode-0 routers
-	// inject through the bypass switch instead).
+	// Phase B: VA + RC. RC's control-fault draws are banked first, in
+	// router order (see predrawControlFaults).
+	if n.cfg.ControlFaultRate > 0 {
+		n.predrawControlFaults()
+	}
+	sp.runPhase(phaseVARC)
+
+	// NIC injection into active routers (gated mode-0 routers inject
+	// through the bypass switch instead): flit ids and payload PRNG draws
+	// are order-sensitive.
 	n.injectPhase(cy)
 
-	// 6. Per-cycle accounting: pure slab arithmetic (portOcc mirrors the
-	// buffer occupancies incrementally; nil ports stay at zero).
-	for id := range n.routers {
-		n.rStatic[id]++
-		if n.rGated[id] {
-			n.gatedCycles++
-		}
-		if n.rBufCount[id] == 0 {
-			continue // every port occupancy is zero
-		}
-		base := id * NumPorts
-		for p := 0; p < NumPorts; p++ {
-			n.winOcc[base+p] += uint64(n.portOcc[base+p])
-		}
+	// Phase C: staged link pushes and per-cycle accounting, pure slab
+	// arithmetic (portOcc mirrors the buffer occupancies incrementally;
+	// nil ports stay at zero).
+	sp.runPhase(phaseAccount)
+	for _, slot := range sp.slots {
+		n.gatedCycles += slot.gatedCycles
+		n.controlFaults += slot.controlFaults
+		slot.gatedCycles, slot.controlFaults = 0, 0
 	}
 
 	n.cycle++
@@ -500,8 +513,7 @@ func (n *Network) step(maxCycles int64) {
 }
 
 // admitStep moves workload packets due this cycle into the NIC queues.
-// Packet ids are handed out in pop order, so this phase stays sequential
-// under sharded stepping.
+// Packet ids are handed out in pop order, so this phase is sequential.
 func (n *Network) admitStep(cy int64) {
 	for {
 		pkt, ok := n.gen.PopDue(cy)
@@ -526,17 +538,17 @@ func (n *Network) admitStep(cy int64) {
 	}
 }
 
-// injectPhase runs step 5 for every NIC: injection into active routers,
-// wake triggering for gated CP-style ones. Flit ids and the injection
-// PRNG draws are handed out in router order, so this phase stays
-// sequential under sharded stepping.
+// injectPhase runs the injection step for every NIC: injection into
+// active routers, wake triggering for gated CP-style ones. Flit ids and
+// the injection PRNG draws are handed out in router order, so this phase
+// is sequential.
 func (n *Network) injectPhase(cy int64) {
 	for id, q := range n.nics {
 		r := n.routers[id]
 		if n.active(id) {
 			n.injectStep(r, q, cy)
-		} else if q.pending() && !n.cfg.Bypass && n.rGated[id] && n.rWaking[id] == 0 {
-			n.triggerWake(r, nil)
+		} else if q.pending() && !n.cfg.Bypass && n.triggerWake(r) {
+			n.emit(Event{Cycle: cy, Kind: EvWake, Router: id})
 		}
 	}
 }
@@ -662,10 +674,9 @@ func (n *Network) fastForward(k int64) {
 }
 
 // powerStateStep advances wake counters and gating decisions. It touches
-// only the router's own state (and its meter), so the sharded stepper runs
-// it in parallel across shards; slot, when non-nil, buffers the emitted
-// events for an in-order flush at the commit barrier (nil emits directly,
-// the sequential path).
+// only the router's own state (and its meter), so it runs in the parallel
+// phase A; slot buffers the emitted events for an in-order flush at the
+// barrier.
 func (n *Network) powerStateStep(r *Router, cy int64, slot *shardSlot) {
 	id := r.id
 	if n.rWaking[id] > 0 {
@@ -682,7 +693,9 @@ func (n *Network) powerStateStep(r *Router, cy int64, slot *shardSlot) {
 		if !n.cfg.Bypass {
 			for p := 0; p < NumPorts; p++ {
 				if r.in[p] != nil && r.in[p].ch != nil && r.in[p].ch.anyReady(cy) {
-					n.triggerWake(r, slot)
+					if n.triggerWake(r) {
+						slot.emitGate(n, Event{Cycle: cy, Kind: EvWake, Router: id})
+					}
 					break
 				}
 			}
@@ -693,7 +706,7 @@ func (n *Network) powerStateStep(r *Router, cy int64, slot *shardSlot) {
 	if n.cfg.Bypass && r.mode == ModeBypass && n.empty(id) {
 		n.flushStatic(r)
 		n.rGated[id] = true
-		n.emitGate(slot, Event{Cycle: cy, Kind: EvGate, Router: id})
+		slot.emitGate(n, Event{Cycle: cy, Kind: EvGate, Router: id})
 		return
 	}
 	// CP-style idle gating: a long-enough idle streak powers the
@@ -705,7 +718,7 @@ func (n *Network) powerStateStep(r *Router, cy int64, slot *shardSlot) {
 				n.flushStatic(r)
 				n.rGated[id] = true
 				n.rIdle[id] = 0
-				n.emitGate(slot, Event{Cycle: cy, Kind: EvGate, Router: id})
+				slot.emitGate(n, Event{Cycle: cy, Kind: EvGate, Router: id})
 			}
 		} else {
 			n.rIdle[id] = 0
@@ -722,20 +735,20 @@ func (n *Network) hasChannelTraffic(r *Router, cy int64) bool {
 	return false
 }
 
-// triggerWake starts a gated router's wake-up countdown. slot is non-nil
-// only when called from the sharded stepper's parallel power-state phase.
-func (n *Network) triggerWake(r *Router, slot *shardSlot) {
+// triggerWake starts a gated router's wake-up countdown and reports
+// whether it did; the caller emits the EvWake event.
+func (n *Network) triggerWake(r *Router) bool {
 	id := r.id
 	if n.rWaking[id] > 0 || !n.rGated[id] {
-		return
+		return false
 	}
 	n.flushStatic(r)
 	n.rWaking[id] = int32(n.cfg.WakeupCycles)
 	if n.rWaking[id] <= 0 {
 		n.rWaking[id] = 1
 	}
-	n.emitGate(slot, Event{Cycle: n.cycle, Kind: EvWake, Router: id})
 	n.meters[id].Record(power.EventCounts{Wakeups: 1})
+	return true
 }
 
 // flushStatic banks the cycles spent in the router's previous static state
@@ -752,9 +765,9 @@ func (n *Network) flushStatic(r *Router) {
 
 // deliverChannels moves at most one flit per input port from the channel
 // into its VC buffer. It mutates only the router's own channels and
-// buffers, so the sharded stepper runs it in parallel across shards; the
-// cross-router side effects (bufferedFlits, lastProgress, the delivery
-// events) go through slot when non-nil and are committed at the barrier.
+// buffers, so it runs in the parallel phase A; the cross-router side
+// effects (bufferedFlits, lastProgress, the delivery events) go through
+// slot and are committed at the barrier.
 func (n *Network) deliverChannels(r *Router, cy int64, slot *shardSlot) {
 	for p := 0; p < NumPorts; p++ {
 		ip := r.in[p]
@@ -771,43 +784,28 @@ func (n *Network) deliverChannels(r *Router, cy int64, slot *shardSlot) {
 		n.portOcc[r.id*NumPorts+p]++
 		ip.winFlitsIn++
 		n.meters[r.id].Record(power.EventCounts{BufWrites: 1})
-		if slot == nil {
-			n.bufferedFlits++
-			n.emitFlit(cy, EvDeliver, r.id, f)
-			n.lastProgress = cy
-		} else {
-			slot.buffered++
-			slot.progress = true
-			if n.eventHook != nil {
-				slot.deliverEvents = append(slot.deliverEvents,
-					Event{Cycle: cy, Kind: EvDeliver, Router: r.id, PacketID: f.PacketID, FlitSeq: f.Seq})
-			}
+		slot.buffered++
+		slot.progress = true
+		if n.eventHook != nil {
+			slot.deliverEvents = append(slot.deliverEvents,
+				Event{Cycle: cy, Kind: EvDeliver, Router: r.id, PacketID: f.PacketID, FlitSeq: f.Seq})
 		}
 	}
 }
 
-// saStage performs switch allocation and traversal: one flit per output
-// port, one per input port, credits permitting.
-// maxSASlots bounds the per-router (port, VC) slot space the switch
-// allocator scans (Config.Validate caps VCs accordingly).
-const maxSASlots = NumPorts * maxVCs
-
-func (n *Network) saStage(r *Router, cy int64) {
-	var cand [NumPorts][maxSASlots]int16
-	var candN [NumPorts]int
-	n.saBuild(r, &cand, &candN)
-	n.saCommit(r, cy, &cand, &candN)
-}
-
-// saBuild is the read-only half of switch allocation: one pass over the
-// input VCs builds per-output candidate lists, so arbitration only touches
-// slots that actually hold a routed flit — the hot loop of the whole
-// simulator. It reads nothing outside the router, which is what lets the
-// sharded stepper run it in parallel across shards: the candidate set a
-// router sees is the same whether its neighbours' commits have run or not
-// (commits never touch another router's input VCs).
-func (n *Network) saBuild(r *Router, cand *[NumPorts][maxSASlots]int16, candN *[NumPorts]int) {
-	*candN = [NumPorts]int{}
+// Switch allocation grants one flit per output port and one per input
+// port, credits permitting, in two halves. saBuild is the read-only half:
+// one pass over the input VCs builds per-output candidate lists, so
+// arbitration only touches slots that actually hold a routed flit — the
+// hot loop of the whole simulator. cand holds NumPorts lists of
+// NumPorts×VCs entries. It reads nothing outside the router, which is
+// what lets phase A run it in parallel ahead of the commit pass: the
+// candidate set a router sees is the same whether its neighbours'
+// commits have run or not (commits never touch another router's input
+// VCs).
+func (n *Network) saBuild(r *Router, cand []uint8, candN *[NumPorts]uint8) {
+	*candN = [NumPorts]uint8{}
+	stride := NumPorts * n.cfg.VCs
 	for inP := 0; inP < NumPorts; inP++ {
 		ip := r.in[inP]
 		if ip == nil {
@@ -819,7 +817,7 @@ func (n *Network) saBuild(r *Router, cand *[NumPorts][maxSASlots]int16, candN *[
 				continue
 			}
 			o := ivc.route
-			cand[o][candN[o]] = int16(inP*n.cfg.VCs + vc)
+			cand[o*stride+int(candN[o])] = uint8(inP*n.cfg.VCs + vc)
 			candN[o]++
 		}
 	}
@@ -828,19 +826,20 @@ func (n *Network) saBuild(r *Router, cand *[NumPorts][maxSASlots]int16, candN *[
 // saCommit is the mutating half of switch allocation: arbitration, buffer
 // pops, credit returns, link traversal, ejection. Credits returned here
 // are visible to higher-numbered routers within the same cycle, so the
-// sharded stepper runs all commits sequentially in router-index order —
-// exactly the sequential schedule — after the parallel build phase.
-func (n *Network) saCommit(r *Router, cy int64, cand *[NumPorts][maxSASlots]int16, candN *[NumPorts]int) {
+// step driver runs all commits sequentially in router-index order, after
+// the parallel build.
+func (n *Network) saCommit(r *Router, cy int64, cand []uint8, candN *[NumPorts]uint8) {
 	var inputUsed [NumPorts]bool
+	stride := NumPorts * n.cfg.VCs
 	for outP := 0; outP < NumPorts; outP++ {
 		if candN[outP] == 0 {
 			continue
 		}
-		n.arbitrateOutput(r, r.out[outP], outP, cy, &inputUsed, cand[outP][:candN[outP]])
+		n.arbitrateOutput(r, r.out[outP], outP, cy, &inputUsed, cand[outP*stride:outP*stride+int(candN[outP])])
 	}
 }
 
-func (n *Network) arbitrateOutput(r *Router, op *outputPort, outP int, cy int64, inputUsed *[NumPorts]bool, cands []int16) {
+func (n *Network) arbitrateOutput(r *Router, op *outputPort, outP int, cy int64, inputUsed *[NumPorts]bool, cands []uint8) {
 	total := NumPorts * n.cfg.VCs
 	// Round-robin: examine candidates in circular slot order starting at
 	// the RR pointer, granting the first eligible one.
@@ -907,15 +906,24 @@ func (n *Network) arbitrateOutput(r *Router, op *outputPort, outP int, cy int64,
 			op.credits[outVC]--
 			op.winVCFlits[outVC]++
 			n.emitFlit(cy, EvTraverse, r.id, f)
-			n.sendOnLink(r, op, f, cy, false)
+			n.sendOnLink(r, op, f, cy)
 		}
 		n.lastProgress = cy
 		return
 	}
 }
 
-// vaStage allocates output VCs to routed head flits.
-func (n *Network) vaStage(r *Router, cy int64) {
+// vaRCStage runs VC allocation and route computation over the router's
+// input VCs in one pass. VA allocates an output VC to a routed head flit;
+// RC routes a head flit that just reached the head of its VC. A VC takes
+// at most one of the two per cycle (RC leaves routedAt = cy, which VA
+// waits out), and one pass in (port, VC) order matches running VA over
+// every VC before RC: with a VA stage RC touches no output port, so the
+// two commute, and without one (EB-style) RC allocates the output VC
+// itself, so no routed VC is ever left for VA. It runs in the parallel
+// phase B: the control-fault count accumulates in slot, and the PRNG draw
+// comes from the coordinator's pre-banked rcDraws.
+func (n *Network) vaRCStage(r *Router, cy int64, slot *shardSlot) {
 	for p := 0; p < NumPorts; p++ {
 		ip := r.in[p]
 		if ip == nil {
@@ -923,67 +931,36 @@ func (n *Network) vaStage(r *Router, cy int64) {
 		}
 		for v := range ip.vcs {
 			ivc := &ip.vcs[v]
-			if len(ivc.buf) == 0 || ivc.route < 0 || ivc.outVC >= 0 {
-				continue
-			}
-			if !ivc.buf[0].Type.IsHead() {
-				continue
-			}
-			if ivc.routedAt >= cy {
-				continue // RC finished this cycle; VA is next cycle
-			}
-			op := r.out[ivc.route]
-			if free := op.freeVCIn(ivc.vcClass, n.vcClasses); free >= 0 {
-				op.vcBusy[free] = true
-				ivc.outVC = free
-				ivc.vaAt = cy
-			}
-		}
-	}
-}
-
-// rcStage routes head flits that just reached the head of their VC. slot
-// is non-nil only on the sharded stepper's parallel VA+RC phase, where
-// the control-fault count must accumulate per shard and the PRNG draw
-// comes from the coordinator's pre-banked rcDraws instead of the stream.
-func (n *Network) rcStage(r *Router, cy int64, slot *shardSlot) {
-	for p := 0; p < NumPorts; p++ {
-		ip := r.in[p]
-		if ip == nil {
-			continue
-		}
-		for v := range ip.vcs {
-			ivc := &ip.vcs[v]
-			if len(ivc.buf) == 0 || ivc.route >= 0 {
+			if len(ivc.buf) == 0 || (ivc.route >= 0 && ivc.outVC >= 0) {
 				continue
 			}
 			f := ivc.buf[0]
 			if !f.Type.IsHead() {
 				continue
 			}
+			if ivc.route >= 0 {
+				if ivc.routedAt >= cy {
+					continue // RC finished this cycle; VA is next cycle
+				}
+				op := r.out[ivc.route]
+				if free := op.freeVCIn(ivc.vcClass, n.vcClasses); free >= 0 {
+					op.vcBusy[free] = true
+					ivc.outVC = free
+					ivc.vaAt = cy
+				}
+				continue
+			}
 			ivc.route, ivc.vcClass = n.route(r, f)
 			ivc.routedAt = cy
-			if n.cfg.ControlFaultRate > 0 {
-				var draw float64
-				if n.rcPredrawn {
-					draw = n.rcDraws[(r.id*NumPorts+p)*n.cfg.VCs+v]
-				} else {
-					draw = n.rng.Float64()
+			if n.cfg.ControlFaultRate > 0 && n.rcDraws[(r.id*NumPorts+p)*n.cfg.VCs+v] < n.cfg.ControlFaultRate {
+				// Parity caught a routing-table upset: recompute after
+				// the penalty (route itself stays correct).
+				penalty := int64(n.cfg.ControlFaultPenalty)
+				if penalty <= 0 {
+					penalty = 2
 				}
-				if draw < n.cfg.ControlFaultRate {
-					// Parity caught a routing-table upset: recompute
-					// after the penalty (route itself stays correct).
-					penalty := int64(n.cfg.ControlFaultPenalty)
-					if penalty <= 0 {
-						penalty = 2
-					}
-					ivc.routedAt = cy + penalty
-					if slot != nil {
-						slot.controlFaults++
-					} else {
-						n.controlFaults++
-					}
-				}
+				ivc.routedAt = cy + penalty
+				slot.controlFaults++
 			}
 			if !n.cfg.HasVAStage {
 				// EB-style routers fold VC selection into RC,
@@ -1003,14 +980,13 @@ func (n *Network) rcStage(r *Router, cy int64, slot *shardSlot) {
 }
 
 // predrawControlFaults banks one control-fault PRNG draw for every VC
-// that rcStage will route this tick, in exact (router, port, VC) order,
-// so the sharded stepper can fan VA+RC out without reordering the
-// stream. Called by the coordinator after the commit pass, at the same
-// schedule point the parallel phase starts from; the qualifying set is
-// identical to what rcStage sees because (a) commits only mutate their
-// own router's input VCs, so post-commit state is final, and (b) vaStage
-// never changes a VC's buffered flits or clears its route, so running VA
-// first (as the phase does per router) cannot change who qualifies.
+// that vaRCStage will route this tick, in exact (router, port, VC) order,
+// so phase B can fan VA+RC out without reordering the stream. Called by
+// the coordinator after the commit pass, at the same schedule point the
+// parallel phase starts from; the qualifying set is identical to what
+// vaRCStage sees because commits only mutate their own router's input
+// VCs, so post-commit state is final, and VA never changes a VC's
+// buffered flits or clears its route, so it cannot change who qualifies.
 func (n *Network) predrawControlFaults() {
 	stride := NumPorts * n.cfg.VCs
 	if n.rcDraws == nil {
@@ -1037,7 +1013,6 @@ func (n *Network) predrawControlFaults() {
 			}
 		}
 	}
-	n.rcPredrawn = true
 }
 
 // bypassStep forwards flits through a gated router's stress-relaxing
@@ -1150,21 +1125,18 @@ func (n *Network) tryBypassPort(r *Router, p int, cy int64) bool {
 	r.out[route].credits[outVC]--
 	r.out[route].winVCFlits[outVC]++
 	n.emitFlit(cy, EvBypass, r.id, f)
-	n.sendOnLink(r, r.out[route], f, cy, true)
+	n.sendOnLink(r, r.out[route], f, cy)
 	return true
 }
 
 // sendOnLink pushes a flit into an output channel, applying link latency,
 // per-hop ECC latency, fault injection, and hop-level retransmission.
-func (n *Network) sendOnLink(r *Router, op *outputPort, f *Flit, cy int64, viaBypass bool) {
+func (n *Network) sendOnLink(r *Router, op *outputPort, f *Flit, cy int64) {
 	scheme := n.schemeOf(r)
 	relaxed := n.relaxedLinks(r)
 	capab := ecc.CapabilityOf(scheme)
 
-	latency := int64(2) // ST + link traversal
-	if viaBypass {
-		latency = 2 // switch + link: the bypass's entire "pipeline"
-	}
+	latency := int64(2) // ST + link traversal (the bypass: switch + link)
 	if relaxed {
 		latency++ // doubled link traversal time (mode 4)
 	}
@@ -1219,17 +1191,12 @@ func (n *Network) sendOnLink(r *Router, op *outputPort, f *Flit, cy int64, viaBy
 	n.meters[r.id].Record(ev)
 	n.thermAct[r.id]++
 	op.winFlitsOut++
-	// Under sharded stepping the push is staged per destination shard and
-	// drained by the channel's owning shard in the accounting phase; the
-	// deferral is invisible within the tick (readyAt >= cy+2, and nothing
-	// between the commit pass and the drain reads channels). Sequential
-	// stepping pushes directly.
-	if sp := n.pool; sp != nil && n.shardCount > 0 {
-		slot := sp.slots[sp.shardOf[op.downRouter]]
-		slot.stagedLinks = append(slot.stagedLinks, stagedPush{ch: op.ch, flit: f, readyAt: readyAt})
-	} else {
-		op.ch.push(f, readyAt)
-	}
+	// The push is staged per destination shard and drained by the
+	// channel's owning shard in the accounting phase; the deferral is
+	// invisible within the tick (readyAt >= cy+2, and nothing between the
+	// commit pass and the drain reads channels).
+	slot := n.pool.slots[n.pool.shardOf[op.downRouter]]
+	slot.stagedLinks = append(slot.stagedLinks, stagedPush{ch: op.ch, flit: f, readyAt: readyAt})
 }
 
 // sampleLinkErrors draws the error-bit count for one link traversal. The
@@ -1822,8 +1789,8 @@ func (n *Network) applyMode(r *Router, mode Mode) {
 	if prev != mode {
 		n.emit(Event{Cycle: n.cycle, Kind: EvModeChange, Router: r.id, Mode: mode})
 	}
-	if prev == ModeBypass && mode != ModeBypass && n.rGated[r.id] {
-		n.triggerWake(r, nil)
+	if prev == ModeBypass && mode != ModeBypass && n.triggerWake(r) {
+		n.emit(Event{Cycle: n.cycle, Kind: EvWake, Router: r.id})
 	}
 	n.flushStatic(r)
 }

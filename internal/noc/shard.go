@@ -5,36 +5,44 @@ import (
 	"sync/atomic"
 )
 
-// Sharded stepping: step() decomposed into parallel per-router scan phases
-// and a sequential in-order commit, bit-identical to the sequential path.
+// The phase driver: step() runs each cycle as three parallel per-router
+// scan phases around order-sensitive sequential work. A network steps
+// with Config.Shards contiguous router-id ranges (at least one); with one
+// shard every phase runs inline on the calling goroutine, with more the
+// phases fan out across a pool of worker goroutines. Results are
+// bit-identical at any shard count.
 //
-// The network cannot be naively partitioned because the sequential schedule
-// has same-cycle cross-router visibility in exactly one place: when router
+// The network cannot be naively partitioned because the schedule has
+// same-cycle cross-router visibility in exactly one place: when router
 // i's switch allocation pops a flit, the freed buffer slot's credit
 // returns to the upstream router immediately, and a higher-numbered router
 // j > i sees that credit within the same cycle's arbitration pass. So the
-// decomposition keeps every order-sensitive mutation — arbitration with
-// its credit chain, link PRNG draws, ejection, packet/flit id assignment,
+// driver keeps every order-sensitive mutation — arbitration with its
+// credit chain, link PRNG draws, ejection, packet/flit id assignment,
 // floating-point meter flushes — on the coordinating goroutine in router
 // index order, and parallelizes only the per-router scans whose reads
 // provably cannot observe another router's same-phase writes:
 //
-//	phase 2+3  power-state + channel deliveries   (own router/channels)
-//	phase 4a   SA candidate build                 (own input VCs)
-//	phase 4c   VA + RC after all SA commits       (own ports; no credits)
-//	phase 6    per-cycle accounting               (own counters)
+//	phase A  power-state, channel delivery, SA candidate build  (own router/channels/input VCs)
+//	phase B  VA + RC after all SA commits                       (own ports; no credits)
+//	phase C  per-cycle accounting, staged link pushes           (own counters/channels)
 //
-// Moving VA/RC after the whole commit pass (the sequential schedule
-// interleaves sa;va;rc per router) is safe because VA and RC read and
-// write only their own router's ports and never consult credits — the one
-// cross-router channel — and the per-router sa-before-va-before-rc order
-// is preserved. When ControlFaultRate > 0, RC draws from the control-fault
-// PRNG, whose draw order must match the sequential schedule; since that
-// stream is touched nowhere else and the set of VCs that draw is fully
-// determined once the commit pass is done, the coordinator pre-draws the
-// tick's values in router order (predrawControlFaults) and the parallel
-// VA+RC phase consumes the banked draws — the stream sees the exact
-// sequential order either way.
+// Phase A fuses three per-router steps: a router's delivery touches only
+// its own input channels and buffers, which no other router's power-state
+// step reads, and the SA candidate build reads only the router's own input
+// VCs, which that cycle only its own delivery writes — commits never touch
+// another router's input VCs, so the candidates built ahead of the commit
+// pass are the ones the router would have seen at its turn.
+//
+// VA and RC run after the whole commit pass (instead of right after each
+// router's SA) because both read and write only their own router's ports
+// and never consult credits — the one cross-router channel — and the
+// per-router sa-before-va-before-rc order is preserved. When
+// ControlFaultRate > 0, RC draws from the control-fault PRNG in a fixed
+// (router, port, VC) order; since that stream is touched nowhere else and
+// the set of VCs that draw is fully determined once the commit pass is
+// done, the coordinator pre-draws the tick's values in router order
+// (predrawControlFaults) and phase B consumes the banked draws.
 //
 // Cross-router side effects of the parallel phases (bufferedFlits,
 // lastProgress, event emission) are accumulated per shard in a shardSlot
@@ -42,14 +50,12 @@ import (
 // order because shards are contiguous router-id ranges (a geometry-free
 // partition: no phase assumes a shard is a row slab, so the same split
 // serves meshes, tori, chiplet hierarchies, and routerless loops alike).
-// Event hooks therefore
-// fire only from the coordinating goroutine, in the exact sequential
-// order — the single-goroutine guarantee SetEventHook documents.
+// Event hooks therefore fire only from the coordinating goroutine, in a
+// fixed order — the single-goroutine guarantee SetEventHook documents.
 
 // Phase selectors for shardPool.runPhase.
 const (
-	phasePowerDeliver = iota
-	phaseSABuild
+	phaseScan = iota
 	phaseVARC
 	phaseAccount
 )
@@ -57,8 +63,8 @@ const (
 // shardSlot accumulates one shard's cross-router side effects during a
 // parallel phase, for an in-order commit at the barrier.
 type shardSlot struct {
-	gateEvents    []Event // power-state phase (EvGate/EvWake), router order
-	deliverEvents []Event // delivery phase (EvDeliver), router order
+	gateEvents    []Event // power-state (EvGate/EvWake), router order
+	deliverEvents []Event // delivery (EvDeliver), router order
 	buffered      int     // bufferedFlits delta
 	progress      bool    // any delivery happened (lastProgress = cy)
 	gatedCycles   uint64  // accounting-phase gated-cycle delta
@@ -69,29 +75,27 @@ type shardSlot struct {
 	stagedLinks []stagedPush
 }
 
+// emitGate buffers a power-state event for the in-order flush at the
+// barrier.
+func (slot *shardSlot) emitGate(n *Network, e Event) {
+	if n.eventHook != nil {
+		slot.gateEvents = append(slot.gateEvents, e)
+	}
+}
+
 // stagedPush is one deferred Channel.push. The commit pass runs entirely
-// on the coordinator, so every ring insertion — often into a channel
-// owned by another shard's id range — used to happen there too. Staging
-// the pushes per destination shard and draining them in the parallel
-// accounting phase moves the ring work off the coordinator and keeps the
-// channel cache lines shard-local. The deferral is invisible to the tick:
-// a pushed flit's readyAt is at least cy+2, every channel has exactly one
-// upstream writer granting at most one flit per cycle, and nothing
-// between the commit pass and the accounting phase reads channels.
+// on the coordinator; staging its ring insertions — often into a channel
+// owned by another shard's id range — per destination shard and draining
+// them in the parallel accounting phase moves the ring work off the
+// coordinator and keeps the channel cache lines shard-local. The deferral
+// is invisible to the tick: a pushed flit's readyAt is at least cy+2,
+// every channel has exactly one upstream writer granting at most one flit
+// per cycle, and nothing between the commit pass and the accounting phase
+// reads channels.
 type stagedPush struct {
 	ch      *Channel
 	flit    *Flit
 	readyAt int64
-}
-
-// emitGate delivers a power-state event directly (sequential path, slot ==
-// nil) or into the shard's buffer for the in-order flush at the barrier.
-func (n *Network) emitGate(slot *shardSlot, e Event) {
-	if slot == nil {
-		n.emit(e)
-	} else if n.eventHook != nil {
-		slot.gateEvents = append(slot.gateEvents, e)
-	}
 }
 
 // shardWorker is the parking state of one worker goroutine. Workers spin
@@ -103,12 +107,13 @@ type shardWorker struct {
 	parked atomic.Bool
 }
 
-// shardPool runs the parallel scan phases across persistent worker
-// goroutines. The coordinating goroutine (whoever calls Step) executes
-// shard 0 itself and every sequential commit in between; workers 1..S-1
-// wait for the epoch counter to advance, run the posted phase over their
-// router range, and signal completion. All cross-goroutine handoff is
-// through sync/atomic, which the race detector understands.
+// shardPool partitions the routers into shards and runs the parallel
+// phases over them. The coordinating goroutine (whoever calls Step)
+// executes shard 0 itself and every sequential commit in between; with
+// more than one shard, workers 1..S-1 wait for the epoch counter to
+// advance, run the posted phase over their router range, and signal
+// completion. All cross-goroutine handoff is through sync/atomic, which
+// the race detector understands.
 type shardPool struct {
 	n       *Network
 	lo, hi  []int   // router id range [lo, hi) per shard (contiguous, ascending)
@@ -116,26 +121,32 @@ type shardPool struct {
 	slots   []*shardSlot
 
 	// Switch-allocation candidate scratch, indexed by router id: written
-	// by the owning shard in phase 4a, consumed by the coordinator in 4b.
-	cand    [][NumPorts][maxSASlots]int16
-	candN   [][NumPorts]int
-	hasCand []bool
+	// by the owning shard in phase A, consumed by the commit pass. Each
+	// router's candSize entries hold NumPorts output lists of up to
+	// NumPorts×VCs input slots; a slot index (below NumPorts×maxVCs = 40)
+	// fits a byte.
+	cand     []uint8
+	candN    [][NumPorts]uint8
+	hasCand  []bool
+	candSize int
 
 	cy      int64 // cycle being stepped; published by epoch.Add
 	phase   int   // phase to run; published by epoch.Add
 	epoch   atomic.Uint32
 	pending atomic.Int32
 	closed  atomic.Bool
-	workers []*shardWorker
+	workers []*shardWorker // nil until the first multi-shard step
 }
 
 func newShardPool(n *Network, shards int) *shardPool {
 	nodes := len(n.routers)
+	size := NumPorts * NumPorts * n.cfg.VCs
 	sp := &shardPool{
-		n:       n,
-		cand:    make([][NumPorts][maxSASlots]int16, nodes),
-		candN:   make([][NumPorts]int, nodes),
-		hasCand: make([]bool, nodes),
+		n:        n,
+		cand:     make([]uint8, nodes*size),
+		candN:    make([][NumPorts]uint8, nodes),
+		hasCand:  make([]bool, nodes),
+		candSize: size,
 	}
 	sp.shardOf = make([]int32, nodes)
 	for s := 0; s < shards; s++ {
@@ -146,39 +157,59 @@ func newShardPool(n *Network, shards int) *shardPool {
 			sp.shardOf[id] = int32(s)
 		}
 	}
-	for s := 1; s < shards; s++ {
-		w := &shardWorker{wake: make(chan struct{}, 1)}
-		sp.workers = append(sp.workers, w)
-		go sp.workerLoop(s, w)
-	}
 	return sp
 }
 
-// Close stops the sharded stepper's worker goroutines. It is a no-op on a
-// sequential network and safe to call repeatedly; stepping again after
-// Close starts a fresh pool. Like Step, it must not race other methods of
-// the Network.
-func (n *Network) Close() {
-	if n.pool != nil {
-		n.pool.close()
+// routerCand returns router id's candidate lists.
+func (sp *shardPool) routerCand(id int) []uint8 {
+	return sp.cand[id*sp.candSize : (id+1)*sp.candSize]
+}
+
+// start launches the worker goroutines of a multi-shard pool.
+func (sp *shardPool) start() {
+	sp.closed.Store(false)
+	epoch := sp.epoch.Load()
+	for s := 1; s < len(sp.slots); s++ {
+		w := &shardWorker{wake: make(chan struct{}, 1)}
+		sp.workers = append(sp.workers, w)
+		go sp.workerLoop(s, w, epoch)
 	}
 }
 
+// Close stops the worker goroutines of a multi-shard network and waits
+// for them to exit. It is a no-op on a single-shard network and safe to
+// call repeatedly; stepping again after Close starts fresh workers. Like
+// Step, it must not race other methods of the Network.
+func (n *Network) Close() {
+	n.pool.close()
+}
+
 func (sp *shardPool) close() {
-	if !sp.closed.CompareAndSwap(false, true) {
+	if sp.workers == nil {
 		return
 	}
+	sp.pending.Store(int32(len(sp.workers)))
+	sp.closed.Store(true)
 	sp.epoch.Add(1)
+	sp.wakeParked()
+	for sp.pending.Load() != 0 {
+		runtime.Gosched()
+	}
+	sp.workers = nil
+}
+
+func (sp *shardPool) wakeParked() {
 	for _, w := range sp.workers {
-		select {
-		case w.wake <- struct{}{}:
-		default:
+		if w.parked.Load() {
+			select {
+			case w.wake <- struct{}{}:
+			default:
+			}
 		}
 	}
 }
 
-func (sp *shardPool) workerLoop(s int, w *shardWorker) {
-	last := uint32(0)
+func (sp *shardPool) workerLoop(s int, w *shardWorker, last uint32) {
 	for {
 		spins := 0
 		for sp.epoch.Load() == last {
@@ -201,6 +232,7 @@ func (sp *shardPool) workerLoop(s int, w *shardWorker) {
 		}
 		last = sp.epoch.Load()
 		if sp.closed.Load() {
+			sp.pending.Add(-1)
 			return
 		}
 		sp.runShard(sp.phase, s)
@@ -208,20 +240,19 @@ func (sp *shardPool) workerLoop(s int, w *shardWorker) {
 	}
 }
 
-// runPhase posts a phase, runs shard 0 on the calling goroutine, and
-// blocks until every worker has finished — the per-cycle barrier.
-func (sp *shardPool) runPhase(phase int, cy int64) {
-	sp.phase, sp.cy = phase, cy
+// runPhase runs a phase over every shard and returns when all are done —
+// the per-cycle barrier. A single shard runs inline; otherwise the phase
+// is posted to the workers, shard 0 runs on the calling goroutine, and
+// runPhase blocks until every worker has finished.
+func (sp *shardPool) runPhase(phase int) {
+	if len(sp.slots) == 1 {
+		sp.runShard(phase, 0)
+		return
+	}
+	sp.phase = phase
 	sp.pending.Store(int32(len(sp.workers)))
 	sp.epoch.Add(1)
-	for _, w := range sp.workers {
-		if w.parked.Load() {
-			select {
-			case w.wake <- struct{}{}:
-			default:
-			}
-		}
-	}
+	sp.wakeParked()
 	sp.runShard(phase, 0)
 	for spins := 0; sp.pending.Load() != 0; spins++ {
 		if spins > 32 {
@@ -232,10 +263,8 @@ func (sp *shardPool) runPhase(phase int, cy int64) {
 
 func (sp *shardPool) runShard(phase, s int) {
 	switch phase {
-	case phasePowerDeliver:
-		sp.powerDeliver(s)
-	case phaseSABuild:
-		sp.buildCandidates(s)
+	case phaseScan:
+		sp.scan(s)
 	case phaseVARC:
 		sp.vaRC(s)
 	case phaseAccount:
@@ -243,69 +272,49 @@ func (sp *shardPool) runShard(phase, s int) {
 	}
 }
 
-// powerDeliver fuses step phases 2 and 3 for one shard. Running all of a
-// shard's power-state steps before its deliveries preserves the global
-// 2-before-3 order for every router pair that interacts (a router's
-// delivery only touches its own channels and buffers, which no other
-// router's power-state step reads).
-func (sp *shardPool) powerDeliver(s int) {
+// scan is phase A for one shard: per router, the power-state step, then
+// channel delivery, then the read-only half of switch allocation. Gated
+// and waking routers get no delivery or candidates (a gated bypass
+// router forwards in the commit pass instead), and neither do quiescent
+// ones.
+func (sp *shardPool) scan(s int) {
 	n, cy, slot := sp.n, sp.cy, sp.slots[s]
-	if n.cfg.PowerGating || n.cfg.Bypass {
-		for id := sp.lo[s]; id < sp.hi[s]; id++ {
-			n.powerStateStep(n.routers[id], cy, slot)
+	gating := n.cfg.PowerGating || n.cfg.Bypass // else no router ever gates or wakes
+	for id, hi := sp.lo[s], sp.hi[s]; id < hi; id++ {
+		r := n.routers[id]
+		if gating {
+			n.powerStateStep(r, cy, slot)
 		}
-	}
-	for id := sp.lo[s]; id < sp.hi[s]; id++ {
-		if n.active(id) {
-			n.deliverChannels(n.routers[id], cy, slot)
-		}
-	}
-}
-
-// buildCandidates runs the read-only half of switch allocation for one
-// shard, mirroring the sequential phase-4 dispatch: gated-with-bypass
-// routers are handled by the commit pass, quiescent routers are skipped.
-// Neither this phase nor any commit before it can change the condition or
-// the candidate set a router would have seen at its sequential turn.
-func (sp *shardPool) buildCandidates(s int) {
-	n, bypass := sp.n, sp.n.cfg.Bypass
-	for id := sp.lo[s]; id < sp.hi[s]; id++ {
-		if n.rGated[id] && bypass {
+		if !n.active(id) {
 			continue
 		}
-		if n.active(id) && n.rBufCount[id] > 0 {
-			n.saBuild(n.routers[id], &sp.cand[id], &sp.candN[id])
+		n.deliverChannels(r, cy, slot)
+		if n.rBufCount[id] > 0 {
+			n.saBuild(r, sp.routerCand(id), &sp.candN[id])
 			sp.hasCand[id] = true
 		}
 	}
 }
 
-// vaRC runs VA then RC for one shard's routers, after every SA commit.
-// Safe in parallel: both stages touch only their own router's ports and
-// never read credits. Routers whose buffers drained during the commit
-// pass are skipped — on the sequential schedule VA/RC would have run for
-// them and no-opped (both stages skip empty VCs). With control faults
-// enabled, RC consumes the draws the coordinator pre-banked in rcDraws
-// (predrawControlFaults) instead of the PRNG stream, and the fault count
+// vaRC is phase B for one shard: VA and RC for its routers, after every
+// SA commit. Routers whose buffers drained during the commit pass are
+// skipped (both stages skip empty VCs). The control-fault count
 // accumulates in the slot for a commutative commit at the barrier.
 func (sp *shardPool) vaRC(s int) {
 	n, cy, slot := sp.n, sp.cy, sp.slots[s]
-	for id := sp.lo[s]; id < sp.hi[s]; id++ {
+	for id, hi := sp.lo[s], sp.hi[s]; id < hi; id++ {
 		if n.active(id) && n.rBufCount[id] > 0 {
-			r := n.routers[id]
-			n.vaStage(r, cy)
-			n.rcStage(r, cy, slot)
+			n.vaRCStage(n.routers[id], cy, slot)
 		}
 	}
 }
 
-// account runs the per-cycle accounting for one shard; the gated-cycle
-// counter is global, so its delta commits at the barrier. It also drains
-// the shard's staged link pushes (see stagedPush): each staged channel
-// belongs to a router in this shard, no other phase-6 scan touches
-// channels, and per-channel there is at most one push per cycle, so the
-// drain is race-free and leaves the rings exactly as the sequential
-// schedule would.
+// account is phase C for one shard: it drains the shard's staged link
+// pushes (see stagedPush) and runs the per-cycle accounting. Each staged
+// channel belongs to a router in this shard, no other accounting scan
+// touches channels, and per channel there is at most one push per cycle,
+// so the drain is race-free and leaves the rings in commit order. The
+// gated-cycle counter is global, so its delta commits at the barrier.
 func (sp *shardPool) account(s int) {
 	n, slot := sp.n, sp.slots[s]
 	for i, st := range slot.stagedLinks {
@@ -313,127 +322,22 @@ func (sp *shardPool) account(s int) {
 		slot.stagedLinks[i] = stagedPush{}
 	}
 	slot.stagedLinks = slot.stagedLinks[:0]
-	for id := sp.lo[s]; id < sp.hi[s]; id++ {
-		n.rStatic[id]++
-		if n.rGated[id] {
-			slot.gatedCycles++
+	lo, hi := sp.lo[s], sp.hi[s]
+	rGated, rBufCount, rStatic := n.rGated[lo:hi], n.rBufCount[lo:hi], n.rStatic[lo:hi]
+	gated := uint64(0)
+	for i := range rStatic {
+		rStatic[i]++
+		if rGated[i] {
+			gated++
 		}
-		if n.rBufCount[id] == 0 {
+		if rBufCount[i] == 0 {
 			continue // every port occupancy is zero
 		}
-		base := id * NumPorts
-		for p := 0; p < NumPorts; p++ {
-			n.winOcc[base+p] += uint64(n.portOcc[base+p])
+		base := (lo + i) * NumPorts
+		occ, win := n.portOcc[base:base+NumPorts], n.winOcc[base:base+NumPorts]
+		for p := range win {
+			win[p] += uint64(occ[p])
 		}
 	}
-}
-
-// stepSharded is step() for shardCount > 1: the same phases in the same
-// order, with the scans fanned out across the pool and every
-// order-sensitive commit kept on this goroutine in router-index order.
-func (n *Network) stepSharded(maxCycles int64) {
-	if n.pool == nil || n.pool.closed.Load() {
-		n.pool = newShardPool(n, n.shardCount)
-	}
-	sp := n.pool
-	cy := n.cycle
-
-	// 0. Idle fast-forward. bufferedFlits only changes at commit points,
-	// so zero here means every shard reported idle at the last barrier —
-	// the fast-forward fires exactly when the sequential stepper would.
-	if n.bufferedFlits == 0 && !n.cfg.DisableIdleFastForward {
-		if k := n.idleSpan(); k > 1 {
-			if lim := maxCycles - cy; k > lim {
-				k = lim
-			}
-			if k > 1 {
-				n.fastForward(k)
-				return
-			}
-		}
-	}
-
-	// 1. Admission: packet ids and NIC queue order are order-sensitive.
-	n.admitStep(cy)
-
-	// 2+3. Parallel power-state + deliveries, then commit the counter
-	// deltas and flush the buffered events in shard (= router) order:
-	// all gate/wake events first, then all deliveries, exactly the
-	// sequential emission order.
-	sp.runPhase(phasePowerDeliver, cy)
-	for _, slot := range sp.slots {
-		n.bufferedFlits += slot.buffered
-		slot.buffered = 0
-		if slot.progress {
-			n.lastProgress = cy
-			slot.progress = false
-		}
-	}
-	if n.eventHook != nil {
-		for _, slot := range sp.slots {
-			for i := range slot.gateEvents {
-				n.eventHook(slot.gateEvents[i])
-			}
-			slot.gateEvents = slot.gateEvents[:0]
-		}
-		for _, slot := range sp.slots {
-			for i := range slot.deliverEvents {
-				n.eventHook(slot.deliverEvents[i])
-			}
-			slot.deliverEvents = slot.deliverEvents[:0]
-		}
-	}
-
-	// 4a. Parallel switch-allocation candidate build.
-	sp.runPhase(phaseSABuild, cy)
-
-	// 4b. Ordered commit: bypass switches and switch arbitration with
-	// traversal/ejection, in router-index order. This is where the
-	// same-cycle credit chain, the link-fault PRNG draws, and the power
-	// meter accumulation happen, all in the exact sequential order.
-	for id, r := range n.routers {
-		switch {
-		case n.rGated[id] && n.cfg.Bypass:
-			n.bypassStep(r, cy)
-		case sp.hasCand[id]:
-			sp.hasCand[id] = false
-			n.saCommit(r, cy, &sp.cand[id], &sp.candN[id])
-		}
-	}
-
-	// 4c. VA + RC, fanned out. With control faults enabled RC consumes
-	// the control-fault PRNG, whose draw order must match the sequential
-	// schedule; the coordinator pre-draws the tick's values in router
-	// order (the qualifying set is fixed once the commits are done — see
-	// predrawControlFaults), and the parallel phase reads the banked
-	// draws instead of the stream.
-	if n.cfg.ControlFaultRate > 0 {
-		n.predrawControlFaults()
-	}
-	sp.runPhase(phaseVARC, cy)
-	if n.rcPredrawn {
-		n.rcPredrawn = false
-		for _, slot := range sp.slots {
-			n.controlFaults += slot.controlFaults
-			slot.controlFaults = 0
-		}
-	}
-
-	// 5. Injection: flit ids and payload PRNG draws are order-sensitive.
-	n.injectPhase(cy)
-
-	// 6. Parallel accounting.
-	sp.runPhase(phaseAccount, cy)
-	for _, slot := range sp.slots {
-		n.gatedCycles += slot.gatedCycles
-		slot.gatedCycles = 0
-	}
-
-	n.cycle++
-	if n.cycle%int64(n.cfg.ThermalIntervalCycles) == 0 {
-		n.thermalStep()
-	}
-	if n.cycle%int64(n.cfg.TimeStepCycles) == 0 {
-		n.controlStep()
-	}
+	slot.gatedCycles += gated
 }

@@ -1,13 +1,14 @@
 package noc
 
 import (
+	"runtime"
 	"testing"
 
 	"intellinoc/internal/traffic"
 )
 
 // shardCases enumerates configurations that exercise every phase of the
-// sharded stepper: the plain wormhole baseline, MFAC channel storage,
+// step driver: the plain wormhole baseline, MFAC channel storage,
 // CP-style power gating, the bypass route, thermally coupled faults with
 // payload verification, and the control-fault path (whose RC-stage PRNG
 // draws are pre-banked in router order by the coordinator so VA+RC still
@@ -79,15 +80,15 @@ func diffStates(t *testing.T, a, b *Network) {
 	}
 	for i := 0; i < n; i++ {
 		if ra[i] != rb[i] {
-			t.Fatalf("cycle %d: first divergence at record %d: seq %+v vs sharded %+v",
+			t.Fatalf("cycle %d: first divergence at record %d: 1-shard %+v vs N-shard %+v",
 				a.Cycle(), i, ra[i], rb[i])
 		}
 	}
 	t.Fatalf("cycle %d: record counts differ: %d vs %d", a.Cycle(), len(ra), len(rb))
 }
 
-// TestShardedLockstepFingerprint is the tentpole's bit-identity gate: a
-// sequential network and a sharded one built from the same seed must
+// TestShardedLockstepFingerprint is the shard-count bit-identity gate: a
+// single-shard network and a 4-shard one built from the same seed must
 // agree on every fingerprinted state word at every step boundary, run
 // to completion, and report identical Results.
 func TestShardedLockstepFingerprint(t *testing.T) {
@@ -104,14 +105,14 @@ func TestShardedLockstepFingerprint(t *testing.T) {
 				}
 			}
 			if !a.Drained() {
-				t.Fatalf("sequential reference stalled at cycle %d", a.Cycle())
+				t.Fatalf("1-shard reference stalled at cycle %d", a.Cycle())
 			}
 			b.StepUntil(a.Cycle())
 			if a.Fingerprint() != b.Fingerprint() {
 				diffStates(t, a, b)
 			}
 			if ra, rb := a.Snapshot(), b.Snapshot(); ra != rb {
-				t.Fatalf("Results diverge:\nseq     %+v\nsharded %+v", ra, rb)
+				t.Fatalf("Results diverge:\n1-shard %+v\nN-shard %+v", ra, rb)
 			}
 		})
 	}
@@ -119,7 +120,7 @@ func TestShardedLockstepFingerprint(t *testing.T) {
 
 // TestShardedResultEquality drives full runs (the production entry
 // point, fast-forward included) at several shard counts and demands the
-// aggregated Result match the sequential run exactly.
+// aggregated Result match the single-shard run exactly.
 func TestShardedResultEquality(t *testing.T) {
 	for _, tc := range shardCases() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -137,7 +138,7 @@ func TestShardedResultEquality(t *testing.T) {
 					t.Fatal(err)
 				}
 				if got != ref {
-					t.Fatalf("shards=%d Result diverges:\nseq     %+v\nsharded %+v", shards, ref, got)
+					t.Fatalf("shards=%d Result diverges:\n1-shard %+v\nN-shard %+v", shards, ref, got)
 				}
 			}
 		})
@@ -145,7 +146,7 @@ func TestShardedResultEquality(t *testing.T) {
 }
 
 // TestShardedEventOrder locks the hook contract: a sharded run must
-// deliver the exact event sequence of the sequential run, from a single
+// deliver the exact event sequence of the single-shard run, from a single
 // goroutine (the race detector enforces the latter via the unsynchronized
 // append below).
 func TestShardedEventOrder(t *testing.T) {
@@ -164,11 +165,11 @@ func TestShardedEventOrder(t *testing.T) {
 	defer b.Close()
 	ea, eb := collect(a), collect(b)
 	if len(ea) != len(eb) {
-		t.Fatalf("event counts differ: seq %d vs sharded %d", len(ea), len(eb))
+		t.Fatalf("event counts differ: 1-shard %d vs N-shard %d", len(ea), len(eb))
 	}
 	for i := range ea {
 		if ea[i] != eb[i] {
-			t.Fatalf("event %d differs: seq %+v vs sharded %+v", i, ea[i], eb[i])
+			t.Fatalf("event %d differs: 1-shard %+v vs N-shard %+v", i, ea[i], eb[i])
 		}
 	}
 	if len(ea) == 0 {
@@ -177,7 +178,9 @@ func TestShardedEventOrder(t *testing.T) {
 }
 
 // TestShardCountClamp asks for more shards than routers: the pool must
-// clamp to the node count and still produce the sequential result.
+// clamp to the node count and still produce the single-shard result. At
+// the other end, Shards 0 and 1 both mean one inline shard: stepping such
+// a network must start no goroutine.
 func TestShardCountClamp(t *testing.T) {
 	cfg := testConfig()
 	ref := mustRun(t, cfg, uniformGen(t, cfg, 0.1, 100), nil)
@@ -192,7 +195,22 @@ func TestShardCountClamp(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got != ref {
-		t.Fatalf("clamped run diverges:\nseq     %+v\nsharded %+v", ref, got)
+		t.Fatalf("clamped run diverges:\n1-shard %+v\nN-shard %+v", ref, got)
+	}
+
+	for _, shards := range []int{0, 1} {
+		cfg.Shards = shards
+		n, err := New(cfg, uniformGen(t, cfg, 0.1, 100), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := runtime.NumGoroutine()
+		for range 1000 {
+			n.Step()
+		}
+		if after := runtime.NumGoroutine(); after != before {
+			t.Fatalf("shards=%d: %d goroutines before 1000 steps, %d after", shards, before, after)
+		}
 	}
 }
 
@@ -252,6 +270,6 @@ func TestShardedSynthetic(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got != ref {
-		t.Fatalf("transpose run diverges:\nseq     %+v\nsharded %+v", ref, got)
+		t.Fatalf("transpose run diverges:\n1-shard %+v\nN-shard %+v", ref, got)
 	}
 }

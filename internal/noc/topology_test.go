@@ -151,8 +151,8 @@ func TestTopologyDeadlockSmoke(t *testing.T) {
 	}
 }
 
-// TestTopologyShardLockstep is the per-topology bit-identity gate: the
-// sharded stepper must agree with the sequential one on every
+// TestTopologyShardLockstep is the per-topology bit-identity gate: a
+// 3-shard network must agree with a single-shard one on every
 // fingerprinted state word for every topology family, not just the mesh.
 func TestTopologyShardLockstep(t *testing.T) {
 	for _, g := range topologyGeometries() {
@@ -169,11 +169,11 @@ func TestTopologyShardLockstep(t *testing.T) {
 				}
 			}
 			if !a.Drained() {
-				t.Fatalf("sequential reference stalled at cycle %d", a.Cycle())
+				t.Fatalf("1-shard reference stalled at cycle %d", a.Cycle())
 			}
 			b.StepUntil(a.Cycle())
 			if ra, rb := a.Snapshot(), b.Snapshot(); ra != rb {
-				t.Fatalf("Results diverge:\nseq     %+v\nsharded %+v", ra, rb)
+				t.Fatalf("Results diverge:\n1-shard %+v\nN-shard %+v", ra, rb)
 			}
 		})
 	}

@@ -337,7 +337,7 @@ func TestInstrumentedRunIsBitIdentical(t *testing.T) {
 }
 
 // The sharded-run hook contract: a run with Shards=4 must deliver the
-// recorder the exact entry stream of the sequential run, from a single
+// recorder the exact entry stream of the single-shard run, from a single
 // goroutine. The Recorder is deliberately not safe for concurrent use,
 // so running this under -race also proves hooks never fire concurrently.
 func TestShardedRunTelemetryIdentical(t *testing.T) {
@@ -348,8 +348,9 @@ func TestShardedRunTelemetryIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		rec := telemetry.NewRecorder(telemetry.DefaultCapacity)
-		out, err := core.Simulate(nil, core.TechIntelliNoC, sim, gen,
-			core.WithObserver(rec), core.WithShards(shards))
+		ssim := sim
+		ssim.Shards = shards
+		out, err := core.Simulate(nil, core.TechIntelliNoC, ssim, gen, core.WithObserver(rec))
 		if err != nil {
 			t.Fatal(err)
 		}
